@@ -15,6 +15,7 @@ stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -186,6 +187,10 @@ def build_run_config(file_values: Dict[str, str], flag_values: Dict[str, object]
     cfg = replace(cfg, **updates)
     if cfg.photons < 1:
         raise ConfigError("photons must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
+    if cfg.resamples < 1:
+        raise ConfigError("resamples must be >= 1")
     if cfg.phi_points < 8:
         raise ConfigError("phi_points must be >= 8")
     if not (0.0 < cfg.visibility_scale <= 1.0):
@@ -301,10 +306,10 @@ def run_fringe(cfg: RunConfig) -> str:
     itf_cfg = cfg.interferometer_config(theta1)
     columns, rows = interferometer.fringe_scan(
         itf_cfg, rho, cfg.spectral(), _default_delta_grid(cfg))
-    for row in rows:
-        if abs(row[2] + row[3] - 1.0) > 1e-12 * max(1.0, abs(row[2])):
-            raise GateFailure(f"port probabilities do not sum to 1 at delta={row[0]}")
-    return write_csv(cfg.out, cfg, columns, [tuple(r) for r in rows])
+    off = np.abs(rows[:, 2] + rows[:, 3] - 1.0) > 1e-12 * np.maximum(1.0, np.abs(rows[:, 2]))
+    if off.any():
+        raise GateFailure(f"port probabilities do not sum to 1 at delta={rows[off.argmax(), 0]}")
+    return write_csv(cfg.out, cfg, columns, rows.tolist())
 
 
 ERASURE_COLUMNS = ("theta1_deg", "delta_um", "phi_rad", "p_out0", "p_out1",
@@ -330,7 +335,7 @@ def run_erasure(cfg: RunConfig) -> str:
         _, rows = interferometer.fringe_scan(
             itf_cfg, rho, spectral, delta,
             analyzers=interferometer.CIRCULAR_ANALYZER)
-        table_rows.extend((t1, *row) for row in map(tuple, rows))
+        table_rows.extend((t1, *row) for row in rows.tolist())
         phi = rows[:, 1]
         fits = {}
         for name, column in (("out1", 3), ("apd10", 4), ("apd11", 5)):
@@ -620,7 +625,9 @@ RUNNERS = {
 # entry point
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argv parser, built once per process and shared by every `main` call."""
     parser = argparse.ArgumentParser(
         prog="wpdlab",
         description="two-path interferometer duality simulations",
@@ -671,6 +678,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 3
     except WpdError as exc:
         print(f"error: category={exc.category}: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # last resort: the contract allows no traceback
+        print(f"error: category=internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -29,6 +29,11 @@ through the phase relations the tests pin down):
 
 Wave-plate angles are fast-axis angles from horizontal, in degrees at every
 public surface; radians exist only inside the trig calls.
+
+Model core: fringe scans, port probabilities and the Monte Carlo fringe truth
+share one stacked kernel over the whole phase grid, run in fixed-size blocks.
+It repeats the per-point 4x4 products in the same order, so each number is
+bit for bit a one-point result; `interferometer_unitary` is the test oracle.
 """
 
 from __future__ import annotations
@@ -208,44 +213,53 @@ def interferometer_unitary(cfg: InterferometerConfig) -> np.ndarray:
     return ubs.conj().T @ path_unitary(cfg) @ ubs
 
 
-def _port_amplitudes(cfg: InterferometerConfig, port: int):
-    """2x2 amplitude operators (B0, B1) mapping the input polarization to the
-    given output port through arm 0 and arm 1 separately.
+# Grid points per stacked pass of the model core: enough to amortise numpy's
+# per-call overhead, few enough that a long scan's (N, 4, 4) stacks stay small.
+_BLOCK_POINTS = 256
 
-    The coherent both-arm amplitude is B0 + B1.
+
+def _port_operators(cfg: InterferometerConfig, rho: np.ndarray, phases, kappa):
+    """Unnormalized port-0 and calibrated port-1 operators, each (N, 2, 2),
+    at arm-0 `phases` with the cross term scaled by `kappa` (scalar or (N,)).
+    One stack entry per point, same products in the same order as the 4x4
+    route, so each point is bit for bit a one-point call. `rho` is trusted.
     """
+    if cfg.block != "none":
+        raise BlockedPath("the both-paths model needs both paths open; "
+                          "use conditional_output for blocked-path runs")
+    phases = np.asarray(phases, dtype=float)
+    kappa = np.broadcast_to(np.asarray(kappa, dtype=float), phases.shape)
+    ubs = npbs_unitary()
+    arms = [ubs.conj().T @ np.diag(d).astype(complex) for d in ([1, 1, 0, 0], [0, 0, 1, 1])]
+    out = np.empty((2, phases.size, 2, 2), dtype=complex)
+    for start in range(0, phases.size, _BLOCK_POINTS):
+        block = slice(start, start + _BLOCK_POINTS)
+        phi = phases[block]
+        uw = np.zeros((phi.size, 4, 4), dtype=complex)
+        uw[:, :2, :2] = np.exp(1j * phi)[:, None, None] * retro_rotator(cfg.theta0_deg)
+        uw[:, 2:, 2:] = retro_rotator(cfg.theta1_deg)
+        ops = [arm @ uw @ ubs for arm in arms]
+        scale = kappa[block, None, None]
+        for port in (0, 1):
+            b0, b1 = (op[:, 2 * port:2 * port + 2, 0:2] for op in ops)
+            b0h, b1h = (b.conj().swapaxes(-1, -2) for b in (b0, b1))
+            b0r, b1r = b0 @ rho, b1 @ rho
+            raw = (b0r @ b0h + b1r @ b1h) + scale * (b0r @ b1h + b1r @ b0h)
+            out[port, block] = _SIGMA3 @ raw @ _SIGMA3 if port == 1 else raw
+    return out[0], out[1]
+
+
+def _traces(ops: np.ndarray) -> np.ndarray:
+    """Real traces of a stack of 2x2 operators."""
+    return np.trace(ops, axis1=-2, axis2=-1).real
+
+
+def _point_operator(cfg: InterferometerConfig, rho_in, port: int, kappa=None):
     if port not in (0, 1):
         raise InvalidState(f"port must be 0 or 1, got {port}")
-    ubs = npbs_unitary()
-    uw = path_unitary(replace(cfg, block="none"))
-    proj = [np.zeros((4, 4), dtype=complex) for _ in range(2)]
-    proj[0][:2, :2] = np.eye(2)
-    proj[1][2:, 2:] = np.eye(2)
-    amps = []
-    for p in range(2):
-        op = ubs.conj().T @ proj[p] @ uw @ ubs
-        block = op[2 * port:2 * port + 2, 0:2]
-        amps.append(block)
-    return amps
-
-
-def _calibrate_port_frame(m: np.ndarray, port: int) -> np.ndarray:
-    """Report port-1 operators in the sigma3-flipped frame (see module docs)."""
-    if port == 1:
-        return _SIGMA3 @ m @ _SIGMA3
-    return m
-
-
-def _port_state_unnormalized(cfg, rho_in, port, kappa=None) -> np.ndarray:
-    """Unnormalized output polarization operator at a port, with the
-    interference cross term scaled by kappa (default: cfg.visibility_scale)."""
     rho = polarization.as_density(rho_in)
-    if kappa is None:
-        kappa = cfg.visibility_scale
-    b0, b1 = _port_amplitudes(cfg, port)
-    direct = b0 @ rho @ b0.conj().T + b1 @ rho @ b1.conj().T
-    cross = b0 @ rho @ b1.conj().T + b1 @ rho @ b0.conj().T
-    return _calibrate_port_frame(direct + kappa * cross, port)
+    scale = cfg.visibility_scale if kappa is None else kappa
+    return _port_operators(cfg, rho, [cfg.phase_phi], scale)[port][0]
 
 
 def output_density(cfg: InterferometerConfig, rho_in, port: int):
@@ -254,10 +268,7 @@ def output_density(cfg: InterferometerConfig, rho_in, port: int):
     Probabilities over the two ports sum to one. Raises ZeroProbability when
     the port is completely dark (the conditional state is undefined).
     """
-    if cfg.block != "none":
-        raise BlockedPath("output_density needs both paths open; "
-                          "use conditional_output for blocked-path runs")
-    raw = _port_state_unnormalized(cfg, rho_in, port)
+    raw = _point_operator(cfg, rho_in, port)
     prob = float(np.trace(raw).real)
     if prob < 1e-15:
         raise ZeroProbability(f"port {port} probability is numerically zero")
@@ -267,10 +278,7 @@ def output_density(cfg: InterferometerConfig, rho_in, port: int):
 def output_probability(cfg: InterferometerConfig, rho_in, port: int,
                        kappa: Optional[float] = None) -> float:
     """Port intensity alone; defined even for a dark port."""
-    if cfg.block != "none":
-        raise BlockedPath("output_probability needs both paths open")
-    raw = _port_state_unnormalized(cfg, rho_in, port, kappa=kappa)
-    return float(np.trace(raw).real)
+    return float(np.trace(_point_operator(cfg, rho_in, port, kappa)).real)
 
 
 def interference_coefficient(cfg: InterferometerConfig, rho_in) -> complex:
@@ -302,7 +310,9 @@ def conditional_output(cfg: InterferometerConfig, rho_in, open_path: int, port: 
     ubs = npbs_unitary()
     op = ubs.conj().T @ path_unitary(blocked) @ ubs
     block = op[2 * port:2 * port + 2, 0:2]
-    raw = _calibrate_port_frame(block @ rho @ block.conj().T, port)
+    raw = block @ rho @ block.conj().T
+    if port == 1:  # sigma3-flipped frame, see the module docs
+        raw = _SIGMA3 @ raw @ _SIGMA3
     prob = float(np.trace(raw).real)
     if prob < 1e-15:
         raise ZeroProbability(f"port {port} via path {open_path} has zero probability")
@@ -347,22 +357,15 @@ def fringe_scan(cfg: InterferometerConfig, rho_in, spectral: SpectralModel,
     columns = ["delta_um", "phi_rad", "p_out0", "p_out1"]
     if analyzers is not None:
         columns += ["p_apd10", "p_apd11"]
-    rows = []
-    envelopes = spectral.envelope(delta)
     phases = spectral.phase(delta)
-    for d, phi, env in zip(delta, phases, envelopes):
-        pointcfg = cfg.with_phase(float(phi))
-        kappa = cfg.visibility_scale * float(env)
-        raw1 = _port_state_unnormalized(pointcfg, rho, 1, kappa=kappa)
-        p1 = float(np.trace(raw1).real)
-        p0 = output_probability(pointcfg, rho, 0, kappa=kappa)
-        row = [float(d), float(phi), p0, p1]
-        if analyzers is not None:
-            vt, vr = analyzer_basis(analyzers)
-            row.append(float(np.real(vt.conj() @ raw1 @ vt)))
-            row.append(float(np.real(vr.conj() @ raw1 @ vr)))
-        rows.append(row)
-    return columns, np.array(rows)
+    raw0, raw1 = _port_operators(cfg, rho, phases,
+                                 cfg.visibility_scale * spectral.envelope(delta))
+    table = [delta, phases, _traces(raw0), _traces(raw1)]
+    if analyzers is not None:
+        # (1,2) @ (2,2) @ (2,1) per point: the products of a one-point call
+        for v in analyzer_basis(analyzers):
+            table.append((v.conj()[None, :] @ raw1 @ v[:, None])[:, 0, 0].real)
+    return columns, np.column_stack(table)
 
 
 def fit_visibility(phi, intensity):

@@ -258,10 +258,8 @@ def estimate_visibility_mc(cfg: interferometer.InterferometerConfig, rho_in,
     if phi.size < 8:
         raise InvalidState("need at least 8 phase points")
     rho = polarization.as_density(rho_in)
-    truth = np.clip([
-        interferometer.output_probability(cfg.with_phase(float(f)), rho, 1)
-        for f in phi
-    ], 0.0, 1.0)
+    _, port1 = interferometer._port_operators(cfg, rho, phi, cfg.visibility_scale)
+    truth = np.clip(interferometer._traces(port1), 0.0, 1.0)
     n1 = rng.binomial(photons_per_point, truth)
     rates = n1 / photons_per_point
     value, _ = interferometer.fit_visibility(phi, rates)
@@ -271,17 +269,6 @@ def estimate_visibility_mc(cfg: interferometer.InterferometerConfig, rho_in,
     v_samples = 2.0 * quot / resampled.sum(axis=1)
     lo, hi = _percentile_ci(v_samples, value, level)
     return EstimateWithCI(value=float(value), ci_low=lo, ci_high=hi, level=level)
-
-
-_PAULI_EIGENBASES = {
-    # projector pairs (plus, minus) for each Stokes component
-    "s1": (polarization.density_from_stokes([1, 0, 0]),
-           polarization.density_from_stokes([-1, 0, 0])),
-    "s2": (polarization.density_from_stokes([0, 1, 0]),
-           polarization.density_from_stokes([0, -1, 0])),
-    "s3": (polarization.density_from_stokes([0, 0, 1]),
-           polarization.density_from_stokes([0, 0, -1])),
-}
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wpdlab import cli
@@ -252,8 +253,7 @@ class TestPlot:
         builder(cli.build_run_config({}, flags, mode))
         script = cli.emit_plot_script(out)
         golden = GOLDEN_DIR / f"plot_{mode}.py.golden"
-        if not golden.exists():  # first run records the snapshot
-            golden.write_text(script)
+        assert golden.exists(), f"missing golden file {golden}"
         assert script == golden.read_text()
 
     def test_kind_detection(self):
@@ -327,3 +327,62 @@ class TestMain:
         header, rows = read_rows(out)
         assert list(header) == list(cli.FRINGE_COLUMNS)
         assert len(rows) == 81
+
+    def test_gate_failure_reports_first_bad_row(self, monkeypatch, tmp_path, capsys):
+        def skewed(*args, **kwargs):
+            rows = np.array([[0.0, 0.0, 0.5, 0.5], [0.25, 1.0, 0.5, 0.6],
+                             [0.5, 2.0, 0.5, 0.7]])
+            return list(cli.FRINGE_COLUMNS), rows
+
+        monkeypatch.setattr(cli.interferometer, "fringe_scan", skewed)
+        assert cli.main(["fringe", "--out", str(tmp_path / "f.csv")]) == 3
+        assert "at delta=0.25" in capsys.readouterr().err
+
+    def test_parser_built_once(self, tmp_path):
+        assert cli.build_parser() is cli.build_parser()
+        out = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--theta1", "0", "--seed", "3", "--out", str(out)]) == 0
+        assert cli.main(["sweep", "--theta1", "0", "--out", str(out)]) == 0
+        assert "# seed = 12345" in out.read_text()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fringe", "--help"])
+        assert exc.value.code == 0
+        assert "--phi-points" in capsys.readouterr().out
+
+
+# Fixed runs whose CSV bytes were recorded from the per-point model route.
+# Regenerate one with: python -m wpdlab.cli <argv> --out=tests/golden/<name>
+GOLDEN_RUNS = {
+    "fringe_band.csv": ["fringe", "--theta1=17.5", "--stokes=0.3,-0.2,0.5",
+                        "--shape=rectangular", "--bandwidth-nm=20",
+                        "--visibility-scale=0.9", "--delta=-15:15:0.25"],
+    "erasure.csv": ["erasure", "--stokes=0.2,0.1,0.4"],
+    "wpd_verify.csv": ["wpd-verify", "--stokes=0,0,0.4", "--theta1=0,22.5,45",
+                       "--photons=2000", "--resamples=50", "--seed=7"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_csv_bytes(tmp_path, name):
+    out = tmp_path / name
+    assert cli.main([*GOLDEN_RUNS[name], f"--out={out}"]) == 0
+    written = [out] + ([out.with_suffix(".summary.csv")] if name == "erasure.csv" else [])
+    for path in written:
+        golden = GOLDEN_DIR / path.name
+        assert golden.exists(), f"missing golden file {golden}"
+        assert path.read_bytes() == golden.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("argv,category,code", [
+    (["wpd-verify", "--seed=-1"], "config", 2),
+    (["wpd-verify", "--resamples=0"], "config", 2),
+    (["montecarlo", "--resamples=-5"], "config", 2),
+    (["fringe", "--phi-points=100000000000000000000"], "internal", 1),
+])
+def test_error_contract(tmp_path, capsys, argv, category, code):
+    assert cli.main([*argv, "--photons=100", f"--out={tmp_path / 'x.csv'}"]) == code
+    err = capsys.readouterr().err
+    assert f"error: category={category}:" in err
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,42 @@ from wpdlab.linalg import SIGMA0, SIGMA3
 UNPOLARIZED = SIGMA0 / 2
 RHO_H = np.diag([1.0, 0.0]).astype(complex)
 RHO_V = np.diag([0.0, 1.0]).astype(complex)
+
+
+def reference_port_amplitudes(cfg, port):
+    """Per-point 4x4 route, one product per arm: the stacked core's reference."""
+    ubs = itf.npbs_unitary()
+    uw = itf.path_unitary(replace(cfg, block="none"))
+    proj = [np.zeros((4, 4), dtype=complex) for _ in range(2)]
+    proj[0][:2, :2] = np.eye(2)
+    proj[1][2:, 2:] = np.eye(2)
+    return [(ubs.conj().T @ proj[p] @ uw @ ubs)[2 * port:2 * port + 2, 0:2]
+            for p in range(2)]
+
+
+def reference_port_state(cfg, rho, port, kappa):
+    b0, b1 = reference_port_amplitudes(cfg, port)
+    direct = b0 @ rho @ b0.conj().T + b1 @ rho @ b1.conj().T
+    cross = b0 @ rho @ b1.conj().T + b1 @ rho @ b0.conj().T
+    m = direct + kappa * cross
+    return SIGMA3 @ m @ SIGMA3 if port == 1 else m
+
+
+def reference_fringe_scan(cfg, rho, spectral, delta, analyzers=None):
+    """The per-point fringe loop, kept as the bit-exact reference."""
+    rows = []
+    for d, phi, env in zip(delta, spectral.phase(delta), spectral.envelope(delta)):
+        pointcfg = cfg.with_phase(float(phi))
+        kappa = cfg.visibility_scale * float(env)
+        raw1 = reference_port_state(pointcfg, rho, 1, kappa)
+        raw0 = reference_port_state(pointcfg, rho, 0, kappa)
+        row = [float(d), float(phi), float(np.trace(raw0).real),
+               float(np.trace(raw1).real)]
+        if analyzers is not None:
+            for v in itf.analyzer_basis(analyzers):
+                row.append(float(np.real(v.conj() @ raw1 @ v)))
+        rows.append(row)
+    return np.array(rows)
 
 
 def stokes_map(u):
@@ -440,3 +477,68 @@ class TestSpectralValidation:
     def test_negative_bandwidth_rejected(self):
         with pytest.raises(InvalidState):
             itf.SpectralModel(bandwidth_nm=-1.0)
+
+
+class TestStackedCore:
+    """The batched model core reproduces the per-point route bit for bit."""
+
+    @pytest.mark.parametrize("points", [1, 64, itf._BLOCK_POINTS + 1])
+    @pytest.mark.parametrize("shape", ["monochromatic", "rectangular"])
+    @pytest.mark.parametrize("with_analyzer", [False, True])
+    def test_fringe_scan_equals_per_point_loop(self, rng, points, shape,
+                                               with_analyzer):
+        for scale in (1.0, rng.uniform(0.2, 0.99)):
+            cfg = itf.InterferometerConfig(
+                theta0_deg=rng.uniform(-90, 90), theta1_deg=rng.uniform(-90, 90),
+                visibility_scale=scale)
+            rho = pol.density_from_stokes(random_stokes(rng))
+            spectral = itf.SpectralModel() if shape == "monochromatic" else \
+                itf.SpectralModel(bandwidth_nm=rng.uniform(5, 40), shape=shape)
+            delta = np.sort(rng.uniform(-30, 30, size=points))
+            analyzer = itf.AnalyzerSetting(rng.uniform(-90, 90),
+                                           rng.uniform(-90, 90)) \
+                if with_analyzer else None
+            _, rows = itf.fringe_scan(cfg, rho, spectral, delta, analyzer)
+            want = reference_fringe_scan(cfg, rho, spectral, delta, analyzer)
+            assert rows.shape == want.shape
+            for k in range(want.shape[1]):
+                assert np.array_equal(rows[:, k], want[:, k]), k
+
+    def test_one_point_calls_equal_per_point_route(self, rng):
+        for _ in range(20):
+            cfg = itf.InterferometerConfig(
+                theta0_deg=rng.uniform(-90, 90), theta1_deg=rng.uniform(-90, 90),
+                phase_phi=rng.uniform(-10, 10), visibility_scale=rng.uniform(0.2, 1))
+            rho = pol.density_from_stokes(random_stokes(rng))
+            for port in (0, 1):
+                raw = reference_port_state(cfg, rho, port, cfg.visibility_scale)
+                prob = float(np.trace(raw).real)
+                assert itf.output_probability(cfg, rho, port) == prob
+                got_prob, got_state = itf.output_density(cfg, rho, port)
+                assert got_prob == prob
+                assert np.array_equal(got_state, raw / prob)
+
+    def test_matches_unitary_oracle(self, rng):
+        for _ in range(10):
+            cfg = itf.InterferometerConfig(
+                theta0_deg=rng.uniform(-90, 90), theta1_deg=rng.uniform(-90, 90))
+            rho = pol.density_from_stokes(random_stokes(rng))
+            delta = np.linspace(0.0, 679e-3 / 2, 33)
+            _, rows = itf.fringe_scan(cfg, rho, itf.SpectralModel(), delta)
+            for row in rows:
+                u = itf.interferometer_unitary(cfg.with_phase(row[1]))
+                for port in (0, 1):
+                    block = u[2 * port:2 * port + 2, 0:2]
+                    want = np.trace(block @ rho @ block.conj().T).real
+                    assert abs(row[2 + port] - want) < 1e-12
+
+    def test_blocked_path_rejected(self):
+        cfg = itf.InterferometerConfig(block="block1")
+        with pytest.raises(BlockedPath):
+            itf.fringe_scan(cfg, UNPOLARIZED, itf.SpectralModel(), [0.0])
+        with pytest.raises(BlockedPath):
+            itf.output_probability(cfg, UNPOLARIZED, 1)
+
+    def test_bad_port_rejected(self):
+        with pytest.raises(InvalidState):
+            itf.output_probability(itf.InterferometerConfig(), UNPOLARIZED, 2)
