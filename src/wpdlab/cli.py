@@ -191,8 +191,8 @@ def build_run_config(file_values: Dict[str, str], flag_values: Dict[str, object]
         raise ConfigError("seed must be >= 0")
     if cfg.resamples < 1:
         raise ConfigError("resamples must be >= 1")
-    if cfg.phi_points < 8:
-        raise ConfigError("phi_points must be >= 8")
+    if not 8 <= cfg.phi_points <= 100_000:
+        raise ConfigError(f"phi_points must lie in [8, 100000], got {cfg.phi_points}")
     if not (0.0 < cfg.visibility_scale <= 1.0):
         raise ConfigError("visibility_scale must lie in (0, 1]")
     if cfg.shape not in ("monochromatic", "rectangular"):
@@ -670,15 +670,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                        for key in _CONFIG_KEYS if key != "mode"}
         cfg = build_run_config(file_values, flag_values, args.mode)
         RUNNERS[args.mode](cfg)
-    except ConfigError as exc:
-        print(f"error: category={exc.category}: {exc}", file=sys.stderr)
-        return 2
-    except GateFailure as exc:
-        print(f"error: category={exc.category}: {exc}", file=sys.stderr)
-        return 3
     except WpdError as exc:
         print(f"error: category={exc.category}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 3 if isinstance(exc, GateFailure) else 1
     except Exception as exc:  # last resort: the contract allows no traceback
         print(f"error: category=internal: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -30,10 +30,11 @@ through the phase relations the tests pin down):
 Wave-plate angles are fast-axis angles from horizontal, in degrees at every
 public surface; radians exist only inside the trig calls.
 
-Model core: fringe scans, port probabilities and the Monte Carlo fringe truth
-share one stacked kernel over the whole phase grid, run in fixed-size blocks.
-It repeats the per-point 4x4 products in the same order, so each number is
-bit for bit a one-point result; `interferometer_unitary` is the test oracle.
+Model core: `fringe_scan`, the one-point port functions and
+`port_probabilities` (the grid entry of the Monte Carlo fringe truth) share
+one stacked kernel run in fixed-size blocks. It repeats the per-point 4x4 products in the same order,
+so each number is bit for bit a one-point result; non-finite phases raise
+InvalidState as a one-point call does. `interferometer_unitary` is the oracle.
 """
 
 from __future__ import annotations
@@ -228,6 +229,8 @@ def _port_operators(cfg: InterferometerConfig, rho: np.ndarray, phases, kappa):
         raise BlockedPath("the both-paths model needs both paths open; "
                           "use conditional_output for blocked-path runs")
     phases = np.asarray(phases, dtype=float)
+    if not np.isfinite(phases).all():
+        raise InvalidState("phase_phi must be finite")
     kappa = np.broadcast_to(np.asarray(kappa, dtype=float), phases.shape)
     ubs = npbs_unitary()
     arms = [ubs.conj().T @ np.diag(d).astype(complex) for d in ([1, 1, 0, 0], [0, 0, 1, 1])]
@@ -254,12 +257,18 @@ def _traces(ops: np.ndarray) -> np.ndarray:
     return np.trace(ops, axis1=-2, axis2=-1).real
 
 
-def _point_operator(cfg: InterferometerConfig, rho_in, port: int, kappa=None):
+def port_probabilities(cfg: InterferometerConfig, rho_in, phases):
+    """Port-0 and port-1 intensities, each (N,), over arm-0 `phases`; each
+    value is bit for bit the `output_probability` of that phase."""
+    rho = polarization.as_density(rho_in)
+    return tuple(_traces(op) for op in _port_operators(cfg, rho, phases, cfg.visibility_scale))
+
+
+def _point_operator(cfg: InterferometerConfig, rho_in, port: int):
     if port not in (0, 1):
         raise InvalidState(f"port must be 0 or 1, got {port}")
     rho = polarization.as_density(rho_in)
-    scale = cfg.visibility_scale if kappa is None else kappa
-    return _port_operators(cfg, rho, [cfg.phase_phi], scale)[port][0]
+    return _port_operators(cfg, rho, [cfg.phase_phi], cfg.visibility_scale)[port][0]
 
 
 def output_density(cfg: InterferometerConfig, rho_in, port: int):
@@ -275,10 +284,9 @@ def output_density(cfg: InterferometerConfig, rho_in, port: int):
     return prob, raw / prob
 
 
-def output_probability(cfg: InterferometerConfig, rho_in, port: int,
-                       kappa: Optional[float] = None) -> float:
+def output_probability(cfg: InterferometerConfig, rho_in, port: int) -> float:
     """Port intensity alone; defined even for a dark port."""
-    return float(np.trace(_point_operator(cfg, rho_in, port, kappa)).real)
+    return float(np.trace(_point_operator(cfg, rho_in, port)).real)
 
 
 def interference_coefficient(cfg: InterferometerConfig, rho_in) -> complex:

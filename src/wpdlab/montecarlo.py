@@ -257,9 +257,7 @@ def estimate_visibility_mc(cfg: interferometer.InterferometerConfig, rho_in,
     phi = np.asarray(phi_grid, dtype=float)
     if phi.size < 8:
         raise InvalidState("need at least 8 phase points")
-    rho = polarization.as_density(rho_in)
-    _, port1 = interferometer._port_operators(cfg, rho, phi, cfg.visibility_scale)
-    truth = np.clip(interferometer._traces(port1), 0.0, 1.0)
+    truth = np.clip(interferometer.port_probabilities(cfg, rho_in, phi)[1], 0.0, 1.0)
     n1 = rng.binomial(photons_per_point, truth)
     rates = n1 / photons_per_point
     value, _ = interferometer.fit_visibility(phi, rates)

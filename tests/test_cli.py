@@ -379,10 +379,25 @@ def test_golden_csv_bytes(tmp_path, name):
     (["wpd-verify", "--seed=-1"], "config", 2),
     (["wpd-verify", "--resamples=0"], "config", 2),
     (["montecarlo", "--resamples=-5"], "config", 2),
-    (["fringe", "--phi-points=100000000000000000000"], "internal", 1),
+    (["fringe", "--phi-points=100000000000000000000"], "config", 2),
+    (["fringe", "--phi-points=100001"], "config", 2),
+    (["fringe", "--delta=nan"], "invalid-state", 1),
+    (["fringe", "--delta=1e306"], "invalid-state", 1),  # the phase overflows to inf
+    (["erasure", "--delta=0,inf"], "invalid-state", 1),
 ])
 def test_error_contract(tmp_path, capsys, argv, category, code):
     assert cli.main([*argv, "--photons=100", f"--out={tmp_path / 'x.csv'}"]) == code
     err = capsys.readouterr().err
     assert f"error: category={category}:" in err
+    assert "Traceback" not in err
+
+
+def test_unexpected_error_is_internal(monkeypatch, tmp_path, capsys):
+    def broken(cfg):
+        raise RuntimeError("forced failure")
+
+    monkeypatch.setitem(cli.RUNNERS, "fringe", broken)
+    assert cli.main(["fringe", f"--out={tmp_path / 'x.csv'}"]) == 1
+    err = capsys.readouterr().err
+    assert "error: category=internal: RuntimeError: forced failure" in err
     assert "Traceback" not in err

@@ -542,3 +542,27 @@ class TestStackedCore:
     def test_bad_port_rejected(self):
         with pytest.raises(InvalidState):
             itf.output_probability(itf.InterferometerConfig(), UNPOLARIZED, 2)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e306])
+    def test_non_finite_phase_rejected(self, bad):
+        # 1e306 um is finite, but its double-pass phase overflows to inf
+        cfg, spectral = itf.InterferometerConfig(), itf.SpectralModel()
+        with pytest.raises(InvalidState, match="phase_phi must be finite"):
+            itf.fringe_scan(cfg, UNPOLARIZED, spectral, [0.0, bad, 1.0])
+        with pytest.raises(InvalidState, match="phase_phi must be finite"):
+            itf.port_probabilities(cfg, UNPOLARIZED, spectral.phase([0.0, bad]))
+
+    def test_port_probabilities_equal_one_point_calls(self, rng):
+        cfg = itf.InterferometerConfig(
+            theta0_deg=rng.uniform(-90, 90), theta1_deg=rng.uniform(-90, 90),
+            visibility_scale=rng.uniform(0.2, 1))
+        rho = pol.density_from_stokes(random_stokes(rng))
+        phases = rng.uniform(-10, 10, size=itf._BLOCK_POINTS + 1)
+        p0, p1 = itf.port_probabilities(cfg, rho, phases)
+        for port, got in ((0, p0), (1, p1)):
+            want = [itf.output_probability(cfg.with_phase(f), rho, port) for f in phases]
+            assert np.array_equal(got, want)
+
+    def test_port_probabilities_validate_rho(self):
+        with pytest.raises(InvalidState):
+            itf.port_probabilities(itf.InterferometerConfig(), 2 * UNPOLARIZED, [0.0])

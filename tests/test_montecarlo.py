@@ -202,6 +202,13 @@ class TestEstimateVisibility:
             mc.estimate_visibility_mc(config(0.0), UNPOLARIZED, PHI_16[:4],
                                       1000, mc.make_rng(0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_phase_rejected(self, bad):
+        phi = PHI_16.copy()
+        phi[3] = bad
+        with pytest.raises(InvalidState, match="phase_phi must be finite"):
+            mc.estimate_visibility_mc(config(0.0), UNPOLARIZED, phi, 1000, mc.make_rng(0))
+
 
 class TestTomography:
     def test_unpolarized_5_sigma(self):
