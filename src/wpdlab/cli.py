@@ -18,9 +18,7 @@ import argparse
 import functools
 import hashlib
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence
@@ -29,8 +27,6 @@ import numpy as np
 
 from . import __version__, duality, interferometer, montecarlo, polarization
 from .errors import ConfigError, GateFailure, WpdError
-
-THREADS_ENV = "WPD_LAB_THREADS"
 
 _FLOAT_FMT = "{:.12g}"
 
@@ -243,21 +239,6 @@ def write_csv(path, cfg: RunConfig, columns: Sequence[str], rows,
     return text
 
 
-def _pool_map(fn, items):
-    """Ordered map over a worker pool; WPD_LAB_THREADS caps the pool size."""
-    items = list(items)
-    env = os.environ.get(THREADS_ENV, "")
-    try:
-        workers = int(env) if env else min(8, len(items)) or 1
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {env!r}") from None
-    workers = max(1, min(workers, len(items) or 1))
-    if workers == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # runners
 
@@ -268,23 +249,21 @@ DEFAULT_SWEEP_THETAS = tuple(float(t) for t in range(46))
 
 
 def run_sweep(cfg: RunConfig) -> str:
-    """One duality report row per (stokes, theta1) grid point."""
+    """One duality report row per (stokes, theta1) grid point.
 
+    `duality.duality_report` checks V^2 + D^2 = 1 on every row and raises
+    InvalidState when it fails.
+    """
     thetas = cfg.theta1_deg or DEFAULT_SWEEP_THETAS
-    points = [(s, t1) for s in cfg.stokes for t1 in thetas]
 
-    def evaluate(point):
-        s, t1 = point
+    def evaluate(s, t1):
         report = duality.duality_report(cfg.interferometer_config(t1), s)
         case = duality.classify_case(s)
         return (cfg.theta0_deg, t1, s[0], s[1], s[2], case,
                 report.visibility, report.d_conventional, report.d_general,
                 report.sum_vd, report.sum_vdc)
 
-    rows = _pool_map(evaluate, points)
-    for row in rows:
-        if abs(row[-2] - 1.0) > 1e-10:
-            raise GateFailure(f"WPD equality failed at theta1={row[1]}: V2+D2={row[-2]}")
+    rows = [evaluate(s, t1) for s in cfg.stokes for t1 in thetas]
     return write_csv(cfg.out, cfg, SWEEP_COLUMNS, rows)
 
 
@@ -378,8 +357,7 @@ def run_wpd_verify(cfg: RunConfig) -> str:
     rho = polarization.density_from_stokes(s)
     phi = np.linspace(0.0, 2.0 * math.pi, cfg.phi_points, endpoint=False)
 
-    def evaluate(indexed):
-        idx, t1 = indexed
+    def evaluate(idx, t1):
         itf_cfg = cfg.interferometer_config(t1)
         rng_d = montecarlo.make_rng(cfg.seed, 4 * idx)
         rng_v = montecarlo.make_rng(cfg.seed, 4 * idx + 1)
@@ -398,7 +376,7 @@ def run_wpd_verify(cfg: RunConfig) -> str:
                 d_est.value, d_est.ci_low, d_est.ci_high, d_true,
                 vd_sum, vd_sigma, cfg.seed, montecarlo.RNG_ALGORITHM)
 
-    rows = _pool_map(evaluate, list(enumerate(thetas)))
+    rows = [evaluate(idx, t1) for idx, t1 in enumerate(thetas)]
     for row in rows:
         vd_sum, vd_sigma = row[10], row[11]
         if abs(vd_sum - 1.0) > max(3.0 * vd_sigma, 1e-9):

@@ -139,7 +139,8 @@ def d_general(rot: RotationSpec, s) -> float:
     """Generalized distinguishability sqrt(e^2 - (e.s)^2), evaluated as
     sqrt(|e x s|^2 + e^2 (1 - s^2)) to avoid cancellation."""
     s = polarization.as_stokes(s)
-    cross2 = float(np.cross(rot.e, s) @ np.cross(rot.e, s))
+    cross = np.cross(rot.e, s)
+    cross2 = float(cross @ cross)
     e2 = float(rot.e @ rot.e)
     return float(np.sqrt(cross2 + e2 * max(0.0, 1.0 - float(s @ s))))
 

@@ -44,7 +44,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import linalg, polarization
 from .errors import (
@@ -97,6 +96,8 @@ class SpectralModel:
     def __post_init__(self):
         if self.shape not in ("monochromatic", "rectangular"):
             raise InvalidState(f"unknown spectral shape {self.shape!r}")
+        if not (math.isfinite(self.center_wavelength_nm) and math.isfinite(self.bandwidth_nm)):
+            raise InvalidState("center wavelength and bandwidth must be finite")
         if self.center_wavelength_nm <= 0:
             raise InvalidState("center wavelength must be positive")
         if self.bandwidth_nm < 0:
@@ -409,6 +410,10 @@ def fit_fringe(delta_um, samples, max_iter: int = 200):
     from the peak height above base, l_c from the first crossing of the base
     level after the peak. Returns (base, visibility, delta0_um, lc_um).
     """
+    # imported here, not at module level: scipy adds most of the CLI start-up
+    # time, and no CLI mode fits an envelope
+    from scipy.optimize import least_squares
+
     delta = np.asarray(delta_um, dtype=float)
     y = np.asarray(samples, dtype=float)
     if delta.size == 0:

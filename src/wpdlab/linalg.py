@@ -43,23 +43,6 @@ def as_cmat(a, dim=None) -> np.ndarray:
     return m
 
 
-def matmul(a, b) -> np.ndarray:
-    a = as_cmat(a)
-    b = as_cmat(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_cmat(a).conj().T
-
-
-def trace(a) -> complex:
-    return complex(np.trace(as_cmat(a)))
-
-
 def is_hermitian(a, tol: float = TAG_TOL) -> bool:
     m = as_cmat(a)
     return bool(np.max(np.abs(m - m.conj().T)) <= tol)

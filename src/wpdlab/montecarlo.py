@@ -4,7 +4,8 @@ Detector counts are multinomial draws over the analytic probabilities from
 `interferometer`; estimators mirror the measurement procedures of the
 experiment (which-way likelihood from blocked-path count rates, fringe
 visibility from a phase scan, Stokes tomography) and carry nonparametric
-bootstrap confidence intervals.
+bootstrap percentile confidence intervals at the fixed level `CI_LEVEL`
+(95 %).
 
 Randomness policy: every stream is a counter-based Philox generator keyed by
 (seed, stream_id), so identical inputs reproduce identical counts bit for bit
@@ -27,16 +28,10 @@ RNG_ALGORITHM = "philox4x64"
 
 DEFAULT_RESAMPLES = 2000
 
-
-@dataclass(frozen=True)
-class RngStream:
-    """Pinned counter-based random stream: (seed, stream_id) -> Philox."""
-
-    seed: int
-    stream_id: int = 0
-
-    def generator(self) -> np.random.Generator:
-        return make_rng(self.seed, self.stream_id)
+CI_LEVEL = 0.95
+# scipy.stats.norm.ppf(0.5 + CI_LEVEL / 2), bit for bit; statistics.NormalDist
+# is one ulp off, which would change the printed vd_sum_sigma
+_CI_Z = 1.959963984540054
 
 
 def make_rng(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -68,7 +63,6 @@ class EstimateWithCI:
     value: float
     ci_low: float
     ci_high: float
-    level: float = 0.95
 
     def __post_init__(self):
         if not (self.ci_low <= self.value <= self.ci_high):
@@ -79,15 +73,12 @@ class EstimateWithCI:
     @property
     def sigma(self) -> float:
         """Gaussian-equivalent standard error from the CI half width."""
-        from scipy.stats import norm
-
-        z = norm.ppf(0.5 + self.level / 2.0)
-        return 0.5 * (self.ci_high - self.ci_low) / z
+        return 0.5 * (self.ci_high - self.ci_low) / _CI_Z
 
 
-def _percentile_ci(samples, value, level):
-    lo_q = 100.0 * (0.5 - level / 2.0)
-    hi_q = 100.0 * (0.5 + level / 2.0)
+def _percentile_ci(samples, value):
+    lo_q = 100.0 * (0.5 - CI_LEVEL / 2.0)
+    hi_q = 100.0 * (0.5 + CI_LEVEL / 2.0)
     lo, hi = np.percentile(samples, [lo_q, hi_q])
     # the percentile interval must bracket the plug-in estimate
     return float(min(lo, value)), float(max(hi, value))
@@ -186,15 +177,14 @@ def _bootstrap_likelihood(record: CountRecord, resamples: int,
 
 
 def estimate_likelihood(record: CountRecord, resamples: int = DEFAULT_RESAMPLES,
-                        rng: Optional[np.random.Generator] = None,
-                        level: float = 0.95) -> EstimateWithCI:
+                        rng: Optional[np.random.Generator] = None) -> EstimateWithCI:
     """Plug-in which-way likelihood with a nonparametric bootstrap CI."""
     value = likelihood_point_estimate(record)
     if rng is None:
         rng = make_rng(0, 0xB007)
     samples = _bootstrap_likelihood(record, resamples, rng)
-    lo, hi = _percentile_ci(samples, value, level)
-    return EstimateWithCI(value=value, ci_low=lo, ci_high=hi, level=level)
+    lo, hi = _percentile_ci(samples, value)
+    return EstimateWithCI(value=value, ci_low=lo, ci_high=hi)
 
 
 @dataclass(frozen=True)
@@ -215,8 +205,8 @@ _BRANCH_INPUTS = {
 
 def estimate_distinguishability_decomposed(
         cfg: interferometer.InterferometerConfig, source_s, photons_per_branch: int,
-        rng: np.random.Generator, resamples: int = DEFAULT_RESAMPLES,
-        level: float = 0.95) -> DistinguishabilityRun:
+        rng: np.random.Generator,
+        resamples: int = DEFAULT_RESAMPLES) -> DistinguishabilityRun:
     """Decomposition estimator for the generalized distinguishability.
 
     The source (assumed s ~ (0, 0, s3)) is split into the H / V pure
@@ -237,17 +227,16 @@ def estimate_distinguishability_decomposed(
         boots[branch] = _bootstrap_likelihood(record, resamples, rng)
     value = sum(weights[b] * (2.0 * likelihoods[b] - 1.0) for b in weights)
     samples = sum(weights[b] * (2.0 * boots[b] - 1.0) for b in weights)
-    lo, hi = _percentile_ci(samples, value, level)
+    lo, hi = _percentile_ci(samples, value)
     return DistinguishabilityRun(
-        estimate=EstimateWithCI(value=float(value), ci_low=lo, ci_high=hi, level=level),
+        estimate=EstimateWithCI(value=float(value), ci_low=lo, ci_high=hi),
         branch_records=records, branch_likelihoods=likelihoods, analyzers=analyzers)
 
 
 def estimate_visibility_mc(cfg: interferometer.InterferometerConfig, rho_in,
                            phi_grid, photons_per_point: int,
                            rng: np.random.Generator,
-                           resamples: int = DEFAULT_RESAMPLES,
-                           level: float = 0.95) -> EstimateWithCI:
+                           resamples: int = DEFAULT_RESAMPLES) -> EstimateWithCI:
     """Fringe visibility from binomially sampled port-1 rates on a phase grid.
 
     The Fourier-quotient estimator has a positive bias floor of about
@@ -265,8 +254,8 @@ def estimate_visibility_mc(cfg: interferometer.InterferometerConfig, rho_in,
                              size=(resamples, phi.size)) / photons_per_point
     quot = np.abs((resampled * np.exp(-1j * phi)).sum(axis=1))
     v_samples = 2.0 * quot / resampled.sum(axis=1)
-    lo, hi = _percentile_ci(v_samples, value, level)
-    return EstimateWithCI(value=float(value), ci_low=lo, ci_high=hi, level=level)
+    lo, hi = _percentile_ci(v_samples, value)
+    return EstimateWithCI(value=float(value), ci_low=lo, ci_high=hi)
 
 
 @dataclass(frozen=True)
@@ -278,7 +267,7 @@ class TomographyRun:
 
 
 def tomography(rho_source, photons_per_basis: int, rng: np.random.Generator,
-               resamples: int = DEFAULT_RESAMPLES, level: float = 0.95) -> TomographyRun:
+               resamples: int = DEFAULT_RESAMPLES) -> TomographyRun:
     """Three-basis Stokes tomography of the source.
 
     Each Pauli basis gets `photons_per_basis` photons; s_k is the normalized
@@ -304,11 +293,10 @@ def tomography(rho_source, photons_per_basis: int, rng: np.random.Generator,
                           size=(resamples, 3))
     s_resamp = 2.0 * resamp / photons_per_basis - 1.0
     f_samples = np.array([fid(sv) for sv in s_resamp])
-    lo, hi = _percentile_ci(f_samples, value, level)
+    lo, hi = _percentile_ci(f_samples, value)
     return TomographyRun(
         stokes_estimate=s_hat,
-        fidelity_unpolarized=EstimateWithCI(value=float(value), ci_low=lo,
-                                            ci_high=hi, level=level),
+        fidelity_unpolarized=EstimateWithCI(value=float(value), ci_low=lo, ci_high=hi),
         counts_plus=n_plus,
         photons_per_basis=photons_per_basis,
     )

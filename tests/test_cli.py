@@ -1,5 +1,8 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -186,22 +189,6 @@ class TestWpdVerify:
             t = math.radians(float(row["theta1_deg"]))
             assert float(row["D_true"]) == pytest.approx(abs(math.sin(2 * t)), abs=1e-12)
 
-    def test_threads_env_respected(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "1")
-        out = tmp_path / "serial.csv"
-        flags = {"photons": 5000, "seed": 7, "resamples": 100, "out": str(out)}
-        cli.run_wpd_verify(cli.build_run_config({}, flags, "wpd-verify"))
-        monkeypatch.setenv(cli.THREADS_ENV, "4")
-        out2 = tmp_path / "pooled.csv"
-        cli.run_wpd_verify(cli.build_run_config({}, dict(flags, out=str(out2)), "wpd-verify"))
-        assert out.read_text().replace("serial", "x") == \
-            out2.read_text().replace("pooled", "x")
-
-    def test_bad_threads_env(self, monkeypatch):
-        monkeypatch.setenv(cli.THREADS_ENV, "lots")
-        with pytest.raises(ConfigError):
-            cli._pool_map(lambda x: x, [1, 2, 3])
-
 
 class TestMonteCarloRunner:
     def test_schema_and_counts(self, tmp_path):
@@ -352,7 +339,9 @@ class TestMain:
         assert "--phi-points" in capsys.readouterr().out
 
 
-# Fixed runs whose CSV bytes were recorded from the per-point model route.
+# Fixed runs whose CSV bytes pin the outputs: fringe, erasure and wpd-verify
+# were recorded from the per-point model route, the sweeps from the pooled
+# sweep runner.
 # Regenerate one with: python -m wpdlab.cli <argv> --out=tests/golden/<name>
 GOLDEN_RUNS = {
     "fringe_band.csv": ["fringe", "--theta1=17.5", "--stokes=0.3,-0.2,0.5",
@@ -361,6 +350,12 @@ GOLDEN_RUNS = {
     "erasure.csv": ["erasure", "--stokes=0.2,0.1,0.4"],
     "wpd_verify.csv": ["wpd-verify", "--stokes=0,0,0.4", "--theta1=0,22.5,45",
                        "--photons=2000", "--resamples=50", "--seed=7"],
+    # cases a-f on the default grid; s = (0, s2, 0) lies along the rotation
+    # vector e, where Dc prints as rounding noise
+    "sweep.csv": ["sweep", "--stokes=0,0,1;0,-0.6,0.8;0,1,0;0,0,0;0.3,0,0.4;"
+                  "0.2,0.3,0.4;0,0.5,0"],
+    "sweep_fractional.csv": ["sweep", "--theta1=0.1:45.1:0.25",
+                             "--stokes=0,0,0;0,0.5,0;0.2,-0.3,0.4"],
 }
 
 
@@ -384,6 +379,10 @@ def test_golden_csv_bytes(tmp_path, name):
     (["fringe", "--delta=nan"], "invalid-state", 1),
     (["fringe", "--delta=1e306"], "invalid-state", 1),  # the phase overflows to inf
     (["erasure", "--delta=0,inf"], "invalid-state", 1),
+    (["fringe", "--shape=rectangular", "--bandwidth-nm=nan"], "invalid-state", 1),
+    (["fringe", "--shape=rectangular", "--bandwidth-nm=inf"], "invalid-state", 1),
+    (["fringe", "--wavelength-nm=nan"], "invalid-state", 1),
+    (["fringe", "--wavelength-nm=inf"], "invalid-state", 1),
 ])
 def test_error_contract(tmp_path, capsys, argv, category, code):
     assert cli.main([*argv, "--photons=100", f"--out={tmp_path / 'x.csv'}"]) == code
@@ -401,3 +400,26 @@ def test_unexpected_error_is_internal(monkeypatch, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error: category=internal: RuntimeError: forced failure" in err
     assert "Traceback" not in err
+
+
+_IMPORT_PROBE = """
+import sys
+from wpdlab import cli
+out = sys.argv[1]
+for argv in (["fringe"], ["sweep"], ["wpd-verify"], ["montecarlo"], ["tomography"]):
+    code = cli.main([*argv, "--theta1=0,45", "--photons=2000", "--resamples=50",
+                     f"--out={out}"])
+    assert code == 0, (argv, code)
+loaded = sorted(m for m in ("scipy", "concurrent.futures") if m in sys.modules)
+assert not loaded, loaded
+"""
+
+
+def test_cli_modes_import_no_scipy_or_thread_pool(tmp_path):
+    # scipy is loaded only by interferometer.fit_fringe, which no CLI mode calls
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path / "x.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -478,6 +478,13 @@ class TestSpectralValidation:
         with pytest.raises(InvalidState):
             itf.SpectralModel(bandwidth_nm=-1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["center_wavelength_nm", "bandwidth_nm"])
+    def test_non_finite_rejected(self, field, bad):
+        # nan slips through every ordered comparison, so each needs the check
+        with pytest.raises(InvalidState, match="must be finite"):
+            itf.SpectralModel(shape="rectangular", **{"bandwidth_nm": 20.0, field: bad})
+
 
 class TestStackedCore:
     """The batched model core reproduces the per-point route bit for bit."""

@@ -19,8 +19,8 @@ def config(theta1, scale=1.0):
 
 class TestRngStream:
     def test_bitwise_reproducible(self):
-        a = mc.RngStream(seed=123, stream_id=7).generator().integers(0, 2**63, size=32)
-        b = mc.RngStream(seed=123, stream_id=7).generator().integers(0, 2**63, size=32)
+        a = mc.make_rng(123, 7).integers(0, 2**63, size=32)
+        b = mc.make_rng(123, 7).integers(0, 2**63, size=32)
         assert np.array_equal(a, b)
 
     def test_streams_independent(self):
@@ -143,6 +143,14 @@ class TestEstimateLikelihood:
         est = mc.estimate_likelihood(record, rng=mc.make_rng(9))
         assert est.ci_low <= est.value <= est.ci_high
         assert 0.4 < est.ci_low < est.ci_high < 1.0 + 1e-12
+
+    def test_sigma_quantile_is_normal_ppf(self):
+        # the pinned quantile must stay bit-equal to scipy's for CI_LEVEL
+        from scipy.stats import norm
+
+        z = norm.ppf(0.5 + mc.CI_LEVEL / 2.0)
+        assert mc.EstimateWithCI(value=0.0, ci_low=-z, ci_high=z).sigma == 1.0
+        assert mc._CI_Z == z
 
 
 class TestEstimateDistinguishability:
