@@ -70,6 +70,11 @@ class RunConfig:
 
 MODES = ("sweep", "fringe", "erasure", "wpd-verify", "montecarlo", "tomography", "plot")
 
+# Largest phase grid or theta1/delta range a run may ask for.
+MAX_GRID_POINTS = 100_000
+# Photon counts feed numpy's int64 samplers.
+_MAX_PHOTONS = int(np.iinfo(np.int64).max)
+
 
 def parse_scalar_or_range(text: str, what: str) -> tuple:
     """Parse '22.5', '0:45:1' (inclusive, step > 0), or '0,15,22.5'."""
@@ -84,10 +89,15 @@ def parse_scalar_or_range(text: str, what: str) -> tuple:
                 raise ValueError("step must be > 0")
             if stop < start:
                 raise ValueError("stop must be >= start")
-            n = int(math.floor((stop - start) / step + 0.5)) + 1
-            values = tuple(start + k * step for k in range(n) if start + k * step <= stop + 1e-9)
-            if not values:
-                raise ValueError("empty range")
+            # count before building: a range of 1e12 values must not be built
+            too_long = f"range needs finite bounds and at most {MAX_GRID_POINTS} values"
+            n = (stop - start) / step + 0.5
+            if not n < MAX_GRID_POINTS + 1:  # NaN and inf fail this too
+                raise ValueError(too_long)
+            values = tuple(start + k * step for k in range(int(n) + 1)
+                           if start + k * step <= stop + 1e-9)
+            if len(values) > MAX_GRID_POINTS:
+                raise ValueError(too_long)
             return values
         if "," in text:
             return tuple(float(p) for p in text.split(","))
@@ -181,14 +191,21 @@ def build_run_config(file_values: Dict[str, str], flag_values: Dict[str, object]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from None
     cfg = replace(cfg, **updates)
-    if cfg.photons < 1:
-        raise ConfigError("photons must be >= 1")
+    numbers = {"theta0": (cfg.theta0_deg,), "theta1": cfg.theta1_deg,
+               "delta": cfg.delta_um, "stokes": np.ravel(cfg.stokes),
+               "wavelength_nm": (cfg.wavelength_nm,), "bandwidth_nm": (cfg.bandwidth_nm,),
+               "visibility_scale": (cfg.visibility_scale,)}
+    for key, values in numbers.items():
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"{key} values must be finite")
+    if not 1 <= cfg.photons <= _MAX_PHOTONS:
+        raise ConfigError(f"photons must lie in [1, {_MAX_PHOTONS}]")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
     if cfg.resamples < 1:
         raise ConfigError("resamples must be >= 1")
-    if not 8 <= cfg.phi_points <= 100_000:
-        raise ConfigError(f"phi_points must lie in [8, 100000], got {cfg.phi_points}")
+    if not 8 <= cfg.phi_points <= MAX_GRID_POINTS:
+        raise ConfigError(f"phi_points must lie in [8, {MAX_GRID_POINTS}], got {cfg.phi_points}")
     if not (0.0 < cfg.visibility_scale <= 1.0):
         raise ConfigError("visibility_scale must lie in (0, 1]")
     if cfg.shape not in ("monochromatic", "rectangular"):
@@ -603,10 +620,17 @@ RUNNERS = {
 # entry point
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ConfigError on bad argv, so it gets the exit-2 category line."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argv parser, built once per process and shared by every `main` call."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="wpdlab",
         description="two-path interferometer duality simulations",
     )
@@ -640,9 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         file_values = parse_config_file(args.config) if args.config else {}
         flag_values = {key: getattr(args, key, None)
                        for key in _CONFIG_KEYS if key != "mode"}

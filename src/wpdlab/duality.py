@@ -345,9 +345,10 @@ def _check_report(report: DualityReport, rot: RotationSpec, s) -> None:
 
 
 CASE_LABELS = ("a", "b", "c", "d", "e", "f")
+_CASE_TOL = 1e-9
 
 
-def classify_case(s, tol: float = 1e-9) -> str:
+def classify_case(s) -> str:
     """Sort a Stokes vector into the six duality-behavior cases:
     pure with s2 = 0 (a), pure with 0 < |s2| < 1 (b), pure circular (c),
     mixed with s2 = 0 (d), mixed with 0 < |s2| < |s| (e), mixed with
@@ -356,10 +357,10 @@ def classify_case(s, tol: float = 1e-9) -> str:
     s = polarization.as_stokes(s)
     norm_s = float(np.linalg.norm(s))
     s2 = abs(float(s[1]))
-    if norm_s >= 1.0 - tol:
-        if s2 <= tol:
+    if norm_s >= 1.0 - _CASE_TOL:
+        if s2 <= _CASE_TOL:
             return "a"
-        return "c" if s2 >= 1.0 - tol else "b"
-    if s2 <= tol:
+        return "c" if s2 >= 1.0 - _CASE_TOL else "b"
+    if s2 <= _CASE_TOL:
         return "d"
-    return "f" if s2 >= norm_s - tol else "e"
+    return "f" if s2 >= norm_s - _CASE_TOL else "e"

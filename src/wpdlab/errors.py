@@ -36,12 +36,6 @@ class ZeroProbability(WpdError):
     category = "zero-probability"
 
 
-class BlockedPath(WpdError):
-    """A both-paths-open quantity was requested with a path blocked."""
-
-    category = "blocked-path"
-
-
 class EmptyInput(WpdError):
     category = "empty-input"
 

@@ -30,11 +30,14 @@ through the phase relations the tests pin down):
 Wave-plate angles are fast-axis angles from horizontal, in degrees at every
 public surface; radians exist only inside the trig calls.
 
-Model core: `fringe_scan`, the one-point port functions and
-`port_probabilities` (the grid entry of the Monte Carlo fringe truth) share
-one stacked kernel run in fixed-size blocks. It repeats the per-point 4x4 products in the same order,
+Model core: every output is built from the per-arm round-trip operators
+U_BS^+ P_k U_W U_BS (P_k projects onto path k). `fringe_scan`, the one-point
+port functions and `port_probabilities` (the grid entry of the Monte Carlo
+fringe truth) sum both arms in one stacked kernel run in fixed-size blocks,
 so each number is bit for bit a one-point result; non-finite phases raise
-InvalidState as a one-point call does. `interferometer_unitary` is the oracle.
+InvalidState as a one-point call does. The blocked-path outputs of
+`conditional_output` take the open arm's operator alone.
+`path_unitary` and `interferometer_unitary` are the test oracle.
 """
 
 from __future__ import annotations
@@ -46,13 +49,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg, polarization
-from .errors import (
-    BlockedPath,
-    EmptyInput,
-    InvalidState,
-    NonConvergence,
-    ZeroProbability,
-)
+from .errors import EmptyInput, InvalidState, NonConvergence, ZeroProbability
 
 _SIGMA0 = linalg.SIGMA0
 _SIGMA1 = linalg.SIGMA1
@@ -61,17 +58,14 @@ _SIGMA3 = linalg.SIGMA3
 
 @dataclass(frozen=True)
 class InterferometerConfig:
-    """Wave-plate angles, arm-0 phase, optional beam block and global scale."""
+    """Wave-plate angles, arm-0 phase and global scale."""
 
     theta0_deg: float = 0.0
     theta1_deg: float = 0.0
     phase_phi: float = 0.0
-    block: str = "none"
     visibility_scale: float = 1.0
 
     def __post_init__(self):
-        if self.block not in ("none", "block0", "block1"):
-            raise InvalidState(f"block must be none/block0/block1, got {self.block!r}")
         if not (math.isfinite(self.theta0_deg) and math.isfinite(self.theta1_deg)):
             raise InvalidState("wave-plate angles must be finite")
         if not math.isfinite(self.phase_phi):
@@ -121,9 +115,10 @@ class SpectralModel:
         return np.sinc(x / math.pi)  # np.sinc is sin(pi t)/(pi t)
 
     def phase(self, delta_um) -> np.ndarray:
-        """Double-pass phase 4 pi delta / lambda."""
+        """Double-pass phase 4 pi delta / lambda; inf where it overflows."""
         delta_um = np.asarray(delta_um, dtype=float)
-        return 4.0 * math.pi * delta_um * 1e3 / self.center_wavelength_nm
+        with np.errstate(over="ignore"):
+            return 4.0 * math.pi * delta_um * 1e3 / self.center_wavelength_nm
 
 
 @dataclass(frozen=True)
@@ -137,7 +132,6 @@ class AnalyzerSetting:
 
     hwp_angle_deg: float = 0.0
     qwp_angle_deg: float = 0.0
-    enabled: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.hwp_angle_deg) and math.isfinite(self.qwp_angle_deg)):
@@ -191,26 +185,15 @@ def npbs_unitary() -> np.ndarray:
 
 
 def path_unitary(cfg: InterferometerConfig) -> np.ndarray:
-    """Both-arm propagation: e^{i phi} |0><0| x U_R(t0) + |1><1| x U_R(t1).
-
-    A blocked arm zeroes the corresponding block (projector action), making
-    the result non-unitary.
-    """
+    """Both-arm propagation: e^{i phi} |0><0| x U_R(t0) + |1><1| x U_R(t1)."""
     u0 = np.exp(1j * cfg.phase_phi) * retro_rotator(cfg.theta0_deg)
     u1 = retro_rotator(cfg.theta1_deg)
-    if cfg.block == "block0":
-        u0 = np.zeros((2, 2), dtype=complex)
-    elif cfg.block == "block1":
-        u1 = np.zeros((2, 2), dtype=complex)
     zero = np.zeros((2, 2), dtype=complex)
     return np.block([[u0, zero], [zero, u1]])
 
 
 def interferometer_unitary(cfg: InterferometerConfig) -> np.ndarray:
-    """Full round trip U_BS^+ U_W U_BS. Requires both paths open."""
-    if cfg.block != "none":
-        raise BlockedPath("interferometer_unitary needs both paths open; "
-                          "use conditional_output for blocked-path runs")
+    """Full round trip U_BS^+ U_W U_BS."""
     ubs = npbs_unitary()
     return ubs.conj().T @ path_unitary(cfg) @ ubs
 
@@ -219,6 +202,22 @@ def interferometer_unitary(cfg: InterferometerConfig) -> np.ndarray:
 # per-call overhead, few enough that a long scan's (N, 4, 4) stacks stay small.
 _BLOCK_POINTS = 256
 
+_UBS = npbs_unitary()
+# U_BS^+ P_k, with P_k the projector onto path k
+_UBS_ADJ_PATHS = tuple(_UBS.conj().T @ np.diag(d).astype(complex)
+                       for d in ([1, 1, 0, 0], [0, 0, 1, 1]))
+
+
+def _arm_operators(cfg: InterferometerConfig, phases: np.ndarray, paths):
+    """U_BS^+ P_k U_W U_BS, one (N, 4, 4) stack per arm k in `paths`, at
+    arm-0 `phases`. With one arm in `paths` it is the round trip with the
+    other arm blocked; the two arms sum to `interferometer_unitary`.
+    """
+    uw = np.zeros((phases.size, 4, 4), dtype=complex)
+    uw[:, :2, :2] = np.exp(1j * phases)[:, None, None] * retro_rotator(cfg.theta0_deg)
+    uw[:, 2:, 2:] = retro_rotator(cfg.theta1_deg)
+    return [_UBS_ADJ_PATHS[k] @ uw @ _UBS for k in paths]
+
 
 def _port_operators(cfg: InterferometerConfig, rho: np.ndarray, phases, kappa):
     """Unnormalized port-0 and calibrated port-1 operators, each (N, 2, 2),
@@ -226,23 +225,14 @@ def _port_operators(cfg: InterferometerConfig, rho: np.ndarray, phases, kappa):
     One stack entry per point, same products in the same order as the 4x4
     route, so each point is bit for bit a one-point call. `rho` is trusted.
     """
-    if cfg.block != "none":
-        raise BlockedPath("the both-paths model needs both paths open; "
-                          "use conditional_output for blocked-path runs")
     phases = np.asarray(phases, dtype=float)
     if not np.isfinite(phases).all():
         raise InvalidState("phase_phi must be finite")
     kappa = np.broadcast_to(np.asarray(kappa, dtype=float), phases.shape)
-    ubs = npbs_unitary()
-    arms = [ubs.conj().T @ np.diag(d).astype(complex) for d in ([1, 1, 0, 0], [0, 0, 1, 1])]
     out = np.empty((2, phases.size, 2, 2), dtype=complex)
     for start in range(0, phases.size, _BLOCK_POINTS):
         block = slice(start, start + _BLOCK_POINTS)
-        phi = phases[block]
-        uw = np.zeros((phi.size, 4, 4), dtype=complex)
-        uw[:, :2, :2] = np.exp(1j * phi)[:, None, None] * retro_rotator(cfg.theta0_deg)
-        uw[:, 2:, 2:] = retro_rotator(cfg.theta1_deg)
-        ops = [arm @ uw @ ubs for arm in arms]
+        ops = _arm_operators(cfg, phases[block], (0, 1))
         scale = kappa[block, None, None]
         for port in (0, 1):
             b0, b1 = (op[:, 2 * port:2 * port + 2, 0:2] for op in ops)
@@ -315,10 +305,8 @@ def conditional_output(cfg: InterferometerConfig, rho_in, open_path: int, port: 
     if open_path not in (0, 1):
         raise InvalidState(f"open_path must be 0 or 1, got {open_path}")
     rho = polarization.as_density(rho_in)
-    blocked = replace(cfg, block="block1" if open_path == 0 else "block0")
-    ubs = npbs_unitary()
-    op = ubs.conj().T @ path_unitary(blocked) @ ubs
-    block = op[2 * port:2 * port + 2, 0:2]
+    (op,) = _arm_operators(cfg, np.array([cfg.phase_phi]), (open_path,))
+    block = op[0, 2 * port:2 * port + 2, 0:2]
     raw = block @ rho @ block.conj().T
     if port == 1:  # sigma3-flipped frame, see the module docs
         raw = _SIGMA3 @ raw @ _SIGMA3
@@ -335,16 +323,10 @@ def analyzer_basis(setting: AnalyzerSetting):
 
 
 def analyzer_probability(rho_port, setting: AnalyzerSetting, detector: str) -> float:
-    """Born probability of one analyzer output; transmit + reflect = 1.
-
-    A disabled analyzer routes everything to the transmit detector
-    (unsplit detection).
-    """
+    """Born probability of one analyzer output; transmit + reflect = 1."""
     rho = polarization.as_density(rho_port)
     if detector not in ("transmit", "reflect"):
         raise InvalidState(f"detector must be transmit or reflect, got {detector!r}")
-    if not setting.enabled:
-        return 1.0 if detector == "transmit" else 0.0
     vt, vr = analyzer_basis(setting)
     v = vt if detector == "transmit" else vr
     return float(np.real(v.conj() @ rho @ v))
@@ -403,7 +385,7 @@ def envelope_model(delta_um, base, visibility, delta0_um, lc_um):
     return base * (1.0 + visibility * np.sinc(x / math.pi))
 
 
-def fit_fringe(delta_um, samples, max_iter: int = 200):
+def fit_fringe(delta_um, samples):
     """Least-squares fit of `envelope_model` to envelope samples.
 
     Initialization: base = mean, delta0 at the sample maximum, visibility
@@ -436,7 +418,7 @@ def fit_fringe(delta_um, samples, max_iter: int = 200):
         return envelope_model(delta, *p) - y
 
     result = least_squares(residual, x0=[base0, vis0, delta0_0, lc0],
-                           method="lm", max_nfev=max_iter * 4)
+                           method="lm", max_nfev=800)
     if not result.success:
         raise NonConvergence(f"envelope fit did not converge: {result.message}")
     base, vis, delta0, lc = (float(v) for v in result.x)

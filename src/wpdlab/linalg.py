@@ -43,14 +43,14 @@ def as_cmat(a, dim=None) -> np.ndarray:
     return m
 
 
-def is_hermitian(a, tol: float = TAG_TOL) -> bool:
+def is_hermitian(a) -> bool:
     m = as_cmat(a)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - m.conj().T)) <= TAG_TOL)
 
 
-def is_unitary(a, tol: float = TAG_TOL) -> bool:
+def is_unitary(a) -> bool:
     m = as_cmat(a)
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= tol)
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= TAG_TOL)
 
 
 def tensor2x2(a, b) -> np.ndarray:
@@ -94,14 +94,14 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v * ph.conjugate()
 
 
-def herm_eig2(h, tol: float = TAG_TOL) -> HermEig2:
+def herm_eig2(h) -> HermEig2:
     """Closed-form eigendecomposition of a 2x2 Hermitian matrix.
 
     Uses the quadratic characteristic formula; no iteration. A degenerate
     spectrum returns the (|H>, |V>) basis by convention.
     """
     h = as_cmat(h, 2)
-    if not is_hermitian(h, tol=max(tol, TAG_TOL)):
+    if not is_hermitian(h):
         raise InvalidState("herm_eig2 requires a Hermitian matrix")
     a = h[0, 0].real
     d = h[1, 1].real
@@ -109,9 +109,9 @@ def herm_eig2(h, tol: float = TAG_TOL) -> HermEig2:
     mean = 0.5 * (a + d)
     r = np.hypot(0.5 * (a - d), abs(b))
     values = np.array([mean + r, mean - r])
-    if r <= tol:
+    if r <= TAG_TOL:
         return HermEig2(values, np.eye(2, dtype=complex))
-    if abs(b) <= tol:
+    if abs(b) <= TAG_TOL:
         # already diagonal: order basis vectors by eigenvalue
         vectors = np.eye(2, dtype=complex) if a >= d else np.eye(2, dtype=complex)[:, ::-1]
         return HermEig2(values, vectors)

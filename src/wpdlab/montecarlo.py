@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -176,12 +176,10 @@ def _bootstrap_likelihood(record: CountRecord, resamples: int,
     return num / total
 
 
-def estimate_likelihood(record: CountRecord, resamples: int = DEFAULT_RESAMPLES,
-                        rng: Optional[np.random.Generator] = None) -> EstimateWithCI:
+def estimate_likelihood(record: CountRecord, rng: np.random.Generator,
+                        resamples: int = DEFAULT_RESAMPLES) -> EstimateWithCI:
     """Plug-in which-way likelihood with a nonparametric bootstrap CI."""
     value = likelihood_point_estimate(record)
-    if rng is None:
-        rng = make_rng(0, 0xB007)
     samples = _bootstrap_likelihood(record, resamples, rng)
     lo, hi = _percentile_ci(samples, value)
     return EstimateWithCI(value=value, ci_low=lo, ci_high=hi)

@@ -65,22 +65,6 @@ def as_density(rho) -> np.ndarray:
     return rho
 
 
-def pure_jones(v) -> np.ndarray:
-    """Validate a unit-norm Jones vector."""
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (2,):
-        raise InvalidState(f"Jones vector must have 2 components, got shape {v.shape}")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-        raise InvalidState(f"Jones vector must be normalized, norm {np.linalg.norm(v)}")
-    return v
-
-
-def projector(v) -> np.ndarray:
-    """|v><v| for a Jones vector."""
-    v = pure_jones(v)
-    return np.outer(v, v.conj())
-
-
 def purity(rho) -> float:
     """gamma = Tr rho^2 = (1 + |s|^2) / 2."""
     rho = as_density(rho)

@@ -37,6 +37,20 @@ class TestParsing:
         with pytest.raises(ConfigError):
             cli.parse_scalar_or_range("0:45:-1", "theta1")
 
+    def test_range_capped(self):
+        cap = cli.MAX_GRID_POINTS
+        assert len(cli.parse_scalar_or_range(f"0:{cap - 1}:1", "theta1")) == cap
+        # the count rounds up to cap + 1, but the last value lies past stop
+        assert len(cli.parse_scalar_or_range(f"0:{cap - 0.4}:1", "theta1")) == cap
+        for text in (f"0:{cap}:1", f"0:{cap + 0.1}:1"):
+            with pytest.raises(ConfigError, match="at most"):
+                cli.parse_scalar_or_range(text, "theta1")
+
+    @pytest.mark.parametrize("text", ["nan:1:1", "0:inf:1", "-1e308:1e308:1", "0:1:nan"])
+    def test_range_non_finite(self, text):
+        with pytest.raises(ConfigError, match="finite"):
+            cli.parse_scalar_or_range(text, "theta1")
+
     def test_stokes_triple(self):
         assert cli.parse_stokes_list("0,0,0.5") == ((0.0, 0.0, 0.5),)
 
@@ -376,19 +390,33 @@ def test_golden_csv_bytes(tmp_path, name):
     (["montecarlo", "--resamples=-5"], "config", 2),
     (["fringe", "--phi-points=100000000000000000000"], "config", 2),
     (["fringe", "--phi-points=100001"], "config", 2),
-    (["fringe", "--delta=nan"], "invalid-state", 1),
+    (["fringe", "--delta=nan"], "config", 2),
     (["fringe", "--delta=1e306"], "invalid-state", 1),  # the phase overflows to inf
-    (["erasure", "--delta=0,inf"], "invalid-state", 1),
-    (["fringe", "--shape=rectangular", "--bandwidth-nm=nan"], "invalid-state", 1),
-    (["fringe", "--shape=rectangular", "--bandwidth-nm=inf"], "invalid-state", 1),
-    (["fringe", "--wavelength-nm=nan"], "invalid-state", 1),
-    (["fringe", "--wavelength-nm=inf"], "invalid-state", 1),
+    (["erasure", "--delta=0,inf"], "config", 2),
+    (["fringe", "--shape=rectangular", "--bandwidth-nm=nan"], "config", 2),
+    (["fringe", "--shape=rectangular", "--bandwidth-nm=inf"], "config", 2),
+    (["fringe", "--wavelength-nm=nan"], "config", 2),
+    (["fringe", "--wavelength-nm=inf"], "config", 2),
+    # modes that build no spectral model still check the spectral flags
+    (["sweep", "--theta1=0", "--wavelength-nm=nan"], "config", 2),
+    (["wpd-verify", "--bandwidth-nm=inf"], "config", 2),
+    (["sweep", "--theta0=nan"], "config", 2),
+    (["sweep", "--stokes=nan,0,0"], "config", 2),
+    (["sweep", "--photons=abc"], "config", 2),  # rejected by the argv parser
+    (["sweep", "--bogus"], "config", 2),
+    (["sweep", "--theta1=0:100000:1"], "config", 2),  # one value over the cap
 ])
 def test_error_contract(tmp_path, capsys, argv, category, code):
     assert cli.main([*argv, "--photons=100", f"--out={tmp_path / 'x.csv'}"]) == code
     err = capsys.readouterr().err
     assert f"error: category={category}:" in err
     assert "Traceback" not in err
+
+
+def test_photons_beyond_int64_rejected(tmp_path, capsys):
+    argv = ["montecarlo", f"--photons={2**63}", f"--out={tmp_path / 'x.csv'}"]
+    assert cli.main(argv) == 2
+    assert "error: category=config: photons must lie in" in capsys.readouterr().err
 
 
 def test_unexpected_error_is_internal(monkeypatch, tmp_path, capsys):

@@ -1,17 +1,11 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import random_stokes
 from wpdlab import interferometer as itf, linalg, polarization as pol
-from wpdlab.errors import (
-    BlockedPath,
-    EmptyInput,
-    InvalidState,
-    ZeroProbability,
-)
+from wpdlab.errors import EmptyInput, InvalidState, ZeroProbability
 from wpdlab.linalg import SIGMA0, SIGMA3
 
 UNPOLARIZED = SIGMA0 / 2
@@ -22,12 +16,27 @@ RHO_V = np.diag([0.0, 1.0]).astype(complex)
 def reference_port_amplitudes(cfg, port):
     """Per-point 4x4 route, one product per arm: the stacked core's reference."""
     ubs = itf.npbs_unitary()
-    uw = itf.path_unitary(replace(cfg, block="none"))
+    uw = itf.path_unitary(cfg)
     proj = [np.zeros((4, 4), dtype=complex) for _ in range(2)]
     proj[0][:2, :2] = np.eye(2)
     proj[1][2:, 2:] = np.eye(2)
     return [(ubs.conj().T @ proj[p] @ uw @ ubs)[2 * port:2 * port + 2, 0:2]
             for p in range(2)]
+
+
+def reference_conditional_output(cfg, rho, open_path, port):
+    """One-arm 4x4 route: the full round trip with the closed arm's block of
+    the path propagator zeroed."""
+    ubs = itf.npbs_unitary()
+    uw = itf.path_unitary(cfg)
+    closed = slice(2, 4) if open_path == 0 else slice(0, 2)
+    uw[closed, closed] = 0
+    block = (ubs.conj().T @ uw @ ubs)[2 * port:2 * port + 2, 0:2]
+    raw = block @ rho @ block.conj().T
+    if port == 1:
+        raw = SIGMA3 @ raw @ SIGMA3
+    prob = float(np.trace(raw).real)
+    return prob, raw / prob
 
 
 def reference_port_state(cfg, rho, port, kappa):
@@ -150,12 +159,6 @@ class TestPathUnitary:
         assert np.max(np.abs(u[:2, :2] + 1j * SIGMA0)) < 1e-12
         assert np.max(np.abs(u[2:, 2:] - 1j * SIGMA0)) < 1e-15
 
-    def test_block_zeroes_blocked_arm(self):
-        cfg = itf.InterferometerConfig(block="block1")
-        u = itf.path_unitary(cfg)
-        assert np.array_equal(u[2:, 2:], np.zeros((2, 2)))
-        assert np.max(np.abs(u[:2, :2])) > 0.9
-
 
 class TestInterferometerUnitary:
     def test_unitarity(self, rng):
@@ -165,10 +168,6 @@ class TestInterferometerUnitary:
                 phase_phi=rng.uniform(0, 2 * math.pi))
             u = itf.interferometer_unitary(cfg)
             assert np.max(np.abs(u.conj().T @ u - np.eye(4))) < 1e-12
-
-    def test_blocked_raises(self):
-        with pytest.raises(BlockedPath):
-            itf.interferometer_unitary(itf.InterferometerConfig(block="block0"))
 
     def test_no_marking_gives_full_cosine_fringe(self):
         # port-1 intensity is (1 + cos(phi + offset))/2 for some fixed offset
@@ -249,6 +248,23 @@ class TestInterferenceCoefficient:
 
 
 class TestConditionalOutput:
+    def test_equals_one_arm_route(self, rng):
+        for _ in range(50):
+            cfg = itf.InterferometerConfig(
+                theta0_deg=rng.uniform(-90, 90), theta1_deg=rng.uniform(-90, 90),
+                phase_phi=rng.uniform(-10, 10))
+            rho = pol.density_from_stokes(random_stokes(rng))
+            for path in (0, 1):
+                for port in (0, 1):
+                    prob, state = itf.conditional_output(cfg, rho, path, port)
+                    want_prob, want_state = reference_conditional_output(cfg, rho, path, port)
+                    assert np.array_equal(prob, want_prob)
+                    assert np.array_equal(state, want_state)
+
+    def test_bad_path_rejected(self):
+        with pytest.raises(InvalidState):
+            itf.conditional_output(itf.InterferometerConfig(), UNPOLARIZED, 2, 1)
+
     def test_quarter_probability_for_any_input(self, rng):
         for _ in range(10):
             cfg = itf.InterferometerConfig(
@@ -538,13 +554,6 @@ class TestStackedCore:
                     block = u[2 * port:2 * port + 2, 0:2]
                     want = np.trace(block @ rho @ block.conj().T).real
                     assert abs(row[2 + port] - want) < 1e-12
-
-    def test_blocked_path_rejected(self):
-        cfg = itf.InterferometerConfig(block="block1")
-        with pytest.raises(BlockedPath):
-            itf.fringe_scan(cfg, UNPOLARIZED, itf.SpectralModel(), [0.0])
-        with pytest.raises(BlockedPath):
-            itf.output_probability(cfg, UNPOLARIZED, 1)
 
     def test_bad_port_rejected(self):
         with pytest.raises(InvalidState):

@@ -143,10 +143,6 @@ class TestValidation:
         small = np.array([0.1, 0.0, 0.0])
         assert np.array_equal(pol.clip_stokes(small), small)
 
-    def test_pure_jones_norm(self):
-        with pytest.raises(InvalidState):
-            pol.pure_jones([1.0, 1.0])
-
     def test_jones_from_stokes(self, rng):
         for _ in range(50):
             s = random_pure_stokes(rng)
