@@ -1,11 +1,12 @@
 """Scenario runner: parameter sweeps, fringe/erasure tables, Monte Carlo
 verification and tomography, written as CSV with a provenance header.
 
-Configuration is flat ``key = value`` text with ``#`` comments; command-line
-flags override config keys. Angles are degrees at this surface. Every output
-starts with ``#`` comment lines recording the package version, seed, RNG
-algorithm and a hash of the effective configuration, and contains no
-timestamps, so identical seeds give byte-identical files.
+Configuration is flat ``key = value`` text with ``#`` comments, one key per
+row of ``SETTINGS``; the flags of the same names override it. Angles are
+degrees at this surface. Every output starts with ``#`` comment lines
+recording the package version, seed, RNG algorithm and a hash of the
+effective configuration, and contains no timestamps, so identical seeds give
+byte-identical files.
 
 Exit codes: 0 all gates passed, 2 configuration error, 3 gate failure,
 1 any other error (a machine-readable ``error: category=...`` line goes to
@@ -19,9 +20,9 @@ import functools
 import hashlib
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -70,10 +71,19 @@ class RunConfig:
 
 MODES = ("sweep", "fringe", "erasure", "wpd-verify", "montecarlo", "tomography", "plot")
 
-# Largest phase grid or theta1/delta range a run may ask for.
+# Largest phase grid, theta1/delta range or resample count a run may ask for.
 MAX_GRID_POINTS = 100_000
+# wpd-verify's bootstrap makes (resamples, phi_points) int, float and complex arrays.
+MAX_BOOTSTRAP_CELLS = 10_000_000
 # Photon counts feed numpy's int64 samplers.
 _MAX_PHOTONS = int(np.iinfo(np.int64).max)
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
 
 
 def parse_scalar_or_range(text: str, what: str) -> tuple:
@@ -81,7 +91,7 @@ def parse_scalar_or_range(text: str, what: str) -> tuple:
     text = text.strip()
     try:
         if ":" in text:
-            parts = [float(p) for p in text.split(":")]
+            parts = [_finite(p) for p in text.split(":")]
             if len(parts) != 3:
                 raise ValueError("range needs start:stop:step")
             start, stop, step = parts
@@ -92,16 +102,14 @@ def parse_scalar_or_range(text: str, what: str) -> tuple:
             # count before building: a range of 1e12 values must not be built
             too_long = f"range needs finite bounds and at most {MAX_GRID_POINTS} values"
             n = (stop - start) / step + 0.5
-            if not n < MAX_GRID_POINTS + 1:  # NaN and inf fail this too
+            if not n < MAX_GRID_POINTS + 1:  # an overflowing span gives inf
                 raise ValueError(too_long)
             values = tuple(start + k * step for k in range(int(n) + 1)
                            if start + k * step <= stop + 1e-9)
             if len(values) > MAX_GRID_POINTS:
                 raise ValueError(too_long)
             return values
-        if "," in text:
-            return tuple(float(p) for p in text.split(","))
-        return (float(text),)
+        return tuple(_finite(p) for p in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"bad {what} {text!r}: {exc}") from None
 
@@ -109,37 +117,56 @@ def parse_scalar_or_range(text: str, what: str) -> tuple:
 def parse_stokes_list(text: str) -> tuple:
     """Parse 's1,s2,s3' triples, multiple triples separated by ';'."""
     triples = []
-    for chunk in text.split(";"):
-        parts = chunk.split(",")
-        if len(parts) != 3:
-            raise ConfigError(f"Stokes vector must be 's1,s2,s3', got {chunk!r}")
-        try:
-            s = tuple(float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"bad Stokes vector {chunk!r}: {exc}") from None
-        if np.linalg.norm(s) > 1.0 + 1e-12:
-            raise ConfigError(f"unphysical Stokes vector {chunk!r} (|s| > 1)")
-        triples.append(s)
+    try:
+        for chunk in text.split(";"):
+            s = tuple(_finite(p) for p in chunk.split(","))
+            if len(s) != 3:
+                raise ValueError(f"need 's1,s2,s3', got {chunk!r}")
+            if np.linalg.norm(s) > 1.0 + 1e-12:
+                raise ValueError(f"unphysical Stokes vector {chunk!r} (|s| > 1)")
+            triples.append(s)
+    except ValueError as exc:
+        raise ConfigError(f"bad stokes {text!r}: {exc}") from None
     return tuple(triples)
 
 
-_CONFIG_KEYS = {
-    "mode": str,
-    "theta0": float,
-    "theta1": str,
-    "stokes": str,
-    "photons": int,
-    "seed": int,
-    "out": str,
-    "visibility_scale": float,
-    "wavelength_nm": float,
-    "bandwidth_nm": float,
-    "shape": str,
-    "phi_points": int,
-    "delta": str,
-    "resamples": int,
-    "table": str,
+class Setting(NamedTuple):
+    field: str                      # RunConfig field
+    parse: Callable[[str], object]  # text -> value; a ValueError gives the reason
+    help: Optional[str]             # None: no flag (the mode is the subcommand)
+
+
+# Every run setting, keyed by its config-file key; its flag is the key with
+# '-' for '_'. build_run_config checks the bounds once all values are merged.
+SETTINGS: Dict[str, Setting] = {
+    "mode": Setting("mode", str, None),
+    "theta0": Setting("theta0_deg", _finite, "QWP0 fast-axis angle (deg)"),
+    "theta1": Setting("theta1_deg", lambda text: parse_scalar_or_range(text, "theta1"),
+                      "QWP1 angle: scalar, start:stop:step, or comma list (deg)"),
+    "stokes": Setting("stokes", parse_stokes_list, "Stokes vector(s) 's1,s2,s3;...'"),
+    "photons": Setting("photons", int, "photons per setting / grid point"),
+    "seed": Setting("seed", int, "master RNG seed"),
+    "out": Setting("out", str, "output CSV path"),
+    "visibility_scale": Setting("visibility_scale", _finite, "interference-term scale in (0, 1]"),
+    "wavelength_nm": Setting("wavelength_nm", _finite, "centre wavelength (nm)"),
+    "bandwidth_nm": Setting("bandwidth_nm", _finite, "spectral bandwidth (nm)"),
+    "shape": Setting("shape", str, "spectrum: monochromatic or rectangular"),
+    "phi_points": Setting("phi_points", int, "phase grid points per fringe period"),
+    "delta": Setting("delta_um", lambda text: parse_scalar_or_range(text, "delta"),
+                     "path-difference grid, written as theta1 is (um)"),
+    "resamples": Setting("resamples", int, "bootstrap resamples for confidence intervals"),
+    "table": Setting("table", str, "existing CSV to plot (plot mode)"),
 }
+
+
+def _parse_setting(key: str, text: str):
+    """One setting's value from its text; a ConfigError names key and reason."""
+    try:
+        return SETTINGS[key].parse(text)
+    except ConfigError:  # the range and Stokes parsers name the setting themselves
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"bad {key} {text!r}: {exc}") from None
 
 
 def parse_config_file(path) -> Dict[str, str]:
@@ -156,7 +183,7 @@ def parse_config_file(path) -> Dict[str, str]:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         raw[key] = value
     return raw
@@ -164,48 +191,22 @@ def parse_config_file(path) -> Dict[str, str]:
 
 def build_run_config(file_values: Dict[str, str], flag_values: Dict[str, object],
                      mode: str) -> RunConfig:
-    """Merge precedence: defaults < config file < explicit CLI flags."""
-    merged: Dict[str, str] = dict(file_values)
-    for key, value in flag_values.items():
-        if value is not None:
-            merged[key] = str(value)
-    cfg = RunConfig(mode=mode)
-    updates = {}
-    for key, value in merged.items():
-        caster = _CONFIG_KEYS[key]
-        try:
-            if key == "theta1":
-                updates["theta1_deg"] = parse_scalar_or_range(value, "theta1")
-            elif key == "theta0":
-                updates["theta0_deg"] = float(value)
-            elif key == "stokes":
-                updates["stokes"] = parse_stokes_list(value)
-            elif key == "delta":
-                updates["delta_um"] = parse_scalar_or_range(value, "delta")
-            elif key == "mode":
-                pass
-            else:
-                updates[key] = caster(value)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from None
-    cfg = replace(cfg, **updates)
-    numbers = {"theta0": (cfg.theta0_deg,), "theta1": cfg.theta1_deg,
-               "delta": cfg.delta_um, "stokes": np.ravel(cfg.stokes),
-               "wavelength_nm": (cfg.wavelength_nm,), "bandwidth_nm": (cfg.bandwidth_nm,),
-               "visibility_scale": (cfg.visibility_scale,)}
-    for key, values in numbers.items():
-        if not all(map(math.isfinite, values)):
-            raise ConfigError(f"{key} values must be finite")
+    """Merge precedence: defaults < config file < flags (text or numbers) < mode."""
+    merged = dict(file_values)
+    merged.update((key, str(value)) for key, value in flag_values.items() if value is not None)
+    merged["mode"] = mode
+    cfg = RunConfig(**{SETTINGS[key].field: _parse_setting(key, text)
+                       for key, text in merged.items()})
     if not 1 <= cfg.photons <= _MAX_PHOTONS:
         raise ConfigError(f"photons must lie in [1, {_MAX_PHOTONS}]")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
-    if cfg.resamples < 1:
-        raise ConfigError("resamples must be >= 1")
+    if not 1 <= cfg.resamples <= MAX_GRID_POINTS:
+        raise ConfigError(f"resamples must lie in [1, {MAX_GRID_POINTS}], got {cfg.resamples}")
     if not 8 <= cfg.phi_points <= MAX_GRID_POINTS:
         raise ConfigError(f"phi_points must lie in [8, {MAX_GRID_POINTS}], got {cfg.phi_points}")
+    if mode == "wpd-verify" and cfg.resamples * cfg.phi_points > MAX_BOOTSTRAP_CELLS:
+        raise ConfigError(f"resamples * phi_points must be at most {MAX_BOOTSTRAP_CELLS}")
     if not (0.0 < cfg.visibility_scale <= 1.0):
         raise ConfigError("visibility_scale must lie in (0, 1]")
     if cfg.shape not in ("monochromatic", "rectangular"):
@@ -249,11 +250,15 @@ def write_csv(path, cfg: RunConfig, columns: Sequence[str], rows,
         lines.append(",".join(_fmt(v) for v in row))
     text = "\n".join(lines) + "\n"
     if path:
-        try:
-            Path(path).write_text(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output {path}: {exc}") from None
+        _write_output(path, text)
     return text
+
+
+def _write_output(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +606,7 @@ def run_plot(cfg: RunConfig) -> str:
     text = emit_plot_script(cfg.table)
     out = cfg.out if cfg.out != RunConfig().out else \
         str(Path(cfg.table).with_suffix(".plot.py"))
-    Path(out).write_text(text)
+    _write_output(out, text)
     return text
 
 
@@ -638,37 +643,29 @@ def build_parser() -> argparse.ArgumentParser:
     for mode in MODES:
         p = sub.add_parser(mode, help=f"run the {mode} scenario")
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--theta0", type=float, default=None,
-                       help="QWP0 fast-axis angle (deg)")
-        p.add_argument("--theta1", default=None,
-                       help="QWP1 angle: scalar, start:stop:step, or comma list (deg)")
-        p.add_argument("--stokes", default=None,
-                       help="input Stokes vector 's1,s2,s3' (';' separates several)")
-        p.add_argument("--photons", type=int, default=None,
-                       help="photons per setting / grid point")
-        p.add_argument("--seed", type=int, default=None, help="master RNG seed")
-        p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--visibility-scale", dest="visibility_scale", type=float,
-                       default=None, help="global interference-term scale in (0, 1]")
-        p.add_argument("--wavelength-nm", dest="wavelength_nm", type=float, default=None)
-        p.add_argument("--bandwidth-nm", dest="bandwidth_nm", type=float, default=None)
-        p.add_argument("--shape", choices=("monochromatic", "rectangular"), default=None)
-        p.add_argument("--phi-points", dest="phi_points", type=int, default=None)
-        p.add_argument("--delta", default=None,
-                       help="path-difference grid start:stop:step (um)")
-        p.add_argument("--resamples", type=int, default=None,
-                       help="bootstrap resamples for confidence intervals")
-        p.add_argument("--table", default=None,
-                       help="existing CSV to plot (plot mode)")
+        for key, setting in SETTINGS.items():
+            if setting.help is not None:
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               type=_flag_checker(key), help=setting.help)
     return parser
+
+
+def _flag_checker(key: str):
+    """argparse type: check each occurrence of a flag, keep its text."""
+    def check(text: str) -> str:
+        try:
+            _parse_setting(key, text)
+        except ConfigError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return text
+    return check
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         file_values = parse_config_file(args.config) if args.config else {}
-        flag_values = {key: getattr(args, key, None)
-                       for key in _CONFIG_KEYS if key != "mode"}
+        flag_values = {key: getattr(args, key) for key in SETTINGS}
         cfg = build_run_config(file_values, flag_values, args.mode)
         RUNNERS[args.mode](cfg)
     except WpdError as exc:

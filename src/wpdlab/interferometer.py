@@ -304,6 +304,8 @@ def conditional_output(cfg: InterferometerConfig, rho_in, open_path: int, port: 
     """
     if open_path not in (0, 1):
         raise InvalidState(f"open_path must be 0 or 1, got {open_path}")
+    if port not in (0, 1):
+        raise InvalidState(f"port must be 0 or 1, got {port}")
     rho = polarization.as_density(rho_in)
     (op,) = _arm_operators(cfg, np.array([cfg.phase_phi]), (open_path,))
     block = op[0, 2 * port:2 * port + 2, 0:2]

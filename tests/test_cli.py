@@ -292,6 +292,12 @@ class TestMain:
         assert code == 2
         assert "cannot write output" in capsys.readouterr().err
 
+    def test_unwritable_plot_output(self, tmp_path, capsys):
+        code = cli.main(["plot", f"--table={GOLDEN_DIR / 'sweep.csv'}",
+                         f"--out={tmp_path / 'no' / 'dir' / 'x.py'}"])
+        assert code == 2
+        assert "error: category=config: cannot write output" in capsys.readouterr().err
+
     def test_gate_failure_exit_code(self, monkeypatch, capsys):
         from wpdlab.errors import GateFailure
 
@@ -405,6 +411,9 @@ def test_golden_csv_bytes(tmp_path, name):
     (["sweep", "--photons=abc"], "config", 2),  # rejected by the argv parser
     (["sweep", "--bogus"], "config", 2),
     (["sweep", "--theta1=0:100000:1"], "config", 2),  # one value over the cap
+    (["tomography", "--resamples=100001"], "config", 2),  # one over the resamples cap
+    # 10^7 + 1 000 cells of wpd-verify's bootstrap, refused before it is built
+    (["wpd-verify", "--resamples=1000", "--phi-points=10001"], "config", 2),
 ])
 def test_error_contract(tmp_path, capsys, argv, category, code):
     assert cli.main([*argv, "--photons=100", f"--out={tmp_path / 'x.csv'}"]) == code
@@ -417,6 +426,36 @@ def test_photons_beyond_int64_rejected(tmp_path, capsys):
     argv = ["montecarlo", f"--photons={2**63}", f"--out={tmp_path / 'x.csv'}"]
     assert cli.main(argv) == 2
     assert "error: category=config: photons must lie in" in capsys.readouterr().err
+
+
+# Each refusal names the setting and the parser's reason, from argv and from
+# a config file alike.
+@pytest.mark.parametrize("key,value,reason", [
+    ("theta1", "0:45:-5", "step must be > 0"),
+    ("photons", "abc", "invalid literal for int() with base 10: 'abc'"),
+    ("theta0", "nan", "must be finite"),
+    ("delta", "0,inf", "must be finite"),
+    ("stokes", "0,0", "need 's1,s2,s3'"),
+])
+def test_refusal_names_setting_and_reason(tmp_path, capsys, key, value, reason):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"{key} = {value}\n")
+    out = f"--out={tmp_path / 'x.csv'}"
+    for argv in (["sweep", f"--{key}={value}", out], ["sweep", f"--config={cfgfile}", out]):
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: category=config: " in err
+        assert f"bad {key} {value!r}: {reason}" in err
+
+
+def test_resample_caps_allow_their_limits(tmp_path):
+    cap = cli.MAX_GRID_POINTS
+    assert cli.build_run_config({}, {"resamples": cap}, "tomography").resamples == cap
+    cells = cli.build_run_config({}, {"resamples": 1000, "phi_points": 10_000}, "wpd-verify")
+    assert cells.resamples * cells.phi_points == cli.MAX_BOOTSTRAP_CELLS
+    # fringe runs no bootstrap, so its phase grid is not capped by the resamples
+    assert cli.main(["fringe", "--resamples=1000", "--phi-points=10001",
+                     f"--out={tmp_path / 'x.csv'}"]) == 0
 
 
 def test_unexpected_error_is_internal(monkeypatch, tmp_path, capsys):

@@ -265,6 +265,11 @@ class TestConditionalOutput:
         with pytest.raises(InvalidState):
             itf.conditional_output(itf.InterferometerConfig(), UNPOLARIZED, 2, 1)
 
+    @pytest.mark.parametrize("port", [2, -1])
+    def test_bad_port_rejected(self, port):
+        with pytest.raises(InvalidState, match=f"port must be 0 or 1, got {port}"):
+            itf.conditional_output(itf.InterferometerConfig(), UNPOLARIZED, 0, port)
+
     def test_quarter_probability_for_any_input(self, rng):
         for _ in range(10):
             cfg = itf.InterferometerConfig(
