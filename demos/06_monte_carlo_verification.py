@@ -1,10 +1,12 @@
 """Photon-counting verification of the duality equality.
 
 Per QWP1 angle: the visibility comes from binomial port counts over a phase
-scan, and D from the decomposition procedure: feed the H and V branches of
-the source separately, block one arm at a time, count at the model-optimal
-analyzer, and combine the two likelihoods. Bootstrap intervals quantify the
-statistics; V^2 + D^2 stays within a few sigma of one.
+scan, and D from the decomposition procedure: split the source into two pure
+branches at equal height along the rotation axis (for the unpolarized source
+used here, H and V), feed each branch separately, block one arm at a time,
+count at the model-optimal analyzer, and combine the two likelihoods with the
+branch weights. Bootstrap intervals quantify the statistics; V^2 + D^2 stays
+within a few sigma of one.
 """
 
 import math

@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import __version__, duality, interferometer, montecarlo, polarization
-from .errors import ConfigError, GateFailure, WpdError
+from .errors import ConfigError, GateFailure, InvalidState, WpdError
 
 _FLOAT_FMT = "{:.12g}"
 
@@ -209,8 +209,11 @@ def build_run_config(file_values: Dict[str, str], flag_values: Dict[str, object]
         raise ConfigError(f"resamples * phi_points must be at most {MAX_BOOTSTRAP_CELLS}")
     if not (0.0 < cfg.visibility_scale <= 1.0):
         raise ConfigError("visibility_scale must lie in (0, 1]")
-    if cfg.shape not in ("monochromatic", "rectangular"):
-        raise ConfigError(f"shape must be monochromatic or rectangular, got {cfg.shape!r}")
+    try:  # every mode checks the spectrum, also the modes that never use it
+        cfg.spectral()
+    except InvalidState as exc:
+        raise ConfigError(f"bad spectrum (wavelength_nm={cfg.wavelength_nm}, bandwidth_nm="
+                          f"{cfg.bandwidth_nm}, shape={cfg.shape!r}): {exc}") from None
     return cfg
 
 
@@ -307,7 +310,7 @@ def run_fringe(cfg: RunConfig) -> str:
     itf_cfg = cfg.interferometer_config(theta1)
     columns, rows = interferometer.fringe_scan(
         itf_cfg, rho, cfg.spectral(), _default_delta_grid(cfg))
-    off = np.abs(rows[:, 2] + rows[:, 3] - 1.0) > 1e-12 * np.maximum(1.0, np.abs(rows[:, 2]))
+    off = ~(np.abs(rows[:, 2] + rows[:, 3] - 1.0) <= 1e-12 * np.maximum(1.0, np.abs(rows[:, 2])))
     if off.any():
         raise GateFailure(f"port probabilities do not sum to 1 at delta={rows[off.argmax(), 0]}")
     return write_csv(cfg.out, cfg, columns, rows.tolist())
@@ -350,7 +353,7 @@ def run_erasure(cfg: RunConfig) -> str:
             if name != "apd10" and vis > 1e-12:
                 rel = math.remainder(phase - ref_phase, 2 * math.pi)
             summary_rows.append((t1, name, vis, phase, rel))
-        if abs(rows[:, 4].sum() + rows[:, 5].sum() - rows[:, 3].sum()) > 1e-9:
+        if not (abs(rows[:, 4].sum() + rows[:, 5].sum() - rows[:, 3].sum()) <= 1e-9):
             raise GateFailure("analyzer outputs do not sum to the port intensity")
     text = write_csv(cfg.out, cfg, ERASURE_COLUMNS, table_rows)
     if cfg.out:
@@ -401,7 +404,7 @@ def run_wpd_verify(cfg: RunConfig) -> str:
     rows = [evaluate(idx, t1) for idx, t1 in enumerate(thetas)]
     for row in rows:
         vd_sum, vd_sigma = row[10], row[11]
-        if abs(vd_sum - 1.0) > max(3.0 * vd_sigma, 1e-9):
+        if not (abs(vd_sum - 1.0) <= max(3.0 * vd_sigma, 1e-9)):  # max(nan, x) is nan
             raise GateFailure(
                 f"WPD closure failed at theta1={row[1]}: "
                 f"V2+D2={vd_sum} sigma={vd_sigma}")
@@ -415,7 +418,7 @@ MONTECARLO_COLUMNS = ("setting_id", "theta1_deg", "branch",
 
 def run_montecarlo(cfg: RunConfig) -> str:
     """Raw which-way counting experiment: per theta1 and branch, the
-    blocked-path count table and the likelihood estimate with CI."""
+    blocked-path count table and the likelihood with its D-run bootstrap CI."""
     thetas = cfg.theta1_deg or DEFAULT_VERIFY_THETAS
     s = np.asarray(cfg.stokes[0], dtype=float)
     rows = []
@@ -427,9 +430,7 @@ def run_montecarlo(cfg: RunConfig) -> str:
             itf_cfg, s, cfg.photons, rng, resamples=cfg.resamples)
         for branch in ("alpha", "beta"):
             record = d_run.branch_records[branch]
-            like = montecarlo.estimate_likelihood(
-                record, resamples=cfg.resamples,
-                rng=montecarlo.make_rng(cfg.seed, 4 * idx + 2))
+            like = d_run.branch_likelihoods[branch]
             if not (0.5 - 1e-9 <= like.value <= 1.0 + 1e-9):
                 raise GateFailure(f"likelihood out of range at theta1={t1}")
             n = record.counts
@@ -456,7 +457,7 @@ def run_tomography(cfg: RunConfig) -> str:
     rho = polarization.density_from_stokes(s_true)
     rng = montecarlo.make_rng(cfg.seed, 0)
     run = montecarlo.tomography(rho, cfg.photons, rng, resamples=cfg.resamples)
-    if np.linalg.norm(polarization.clip_stokes(run.stokes_estimate)) > 1.0 + 1e-12:
+    if not (np.linalg.norm(polarization.clip_stokes(run.stokes_estimate)) <= 1.0 + 1e-12):
         raise GateFailure("clipped Stokes estimate left the Bloch ball")
     rows = []
     for k, name in enumerate(("s1", "s2", "s3")):

@@ -29,7 +29,8 @@ import numpy as np
 from . import interferometer, linalg, polarization
 from .errors import InvalidState, NonOrthonormalBasis, NonUnitary
 
-_DEGENERATE_AXIS = np.array([0.0, 1.0, 0.0])
+# Both arm rotators turn about s2, so every relative rotation does too.
+ROTATION_AXIS = np.array([0.0, 1.0, 0.0])
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ def su2_decompose(u) -> RotationSpec:
         raise NonUnitary("matrix is not SU(2) after phase stripping")
     norm_e = float(np.linalg.norm(e))
     e0 = max(-1.0, min(1.0, e0))
-    axis = e / norm_e if norm_e >= 1e-12 else _DEGENERATE_AXIS.copy()
+    axis = e / norm_e if norm_e >= 1e-12 else ROTATION_AXIS.copy()
     omega = 2.0 * math.atan2(norm_e, e0)
     return RotationSpec(e0=e0, e=e, axis=axis, omega=omega)
 
@@ -186,9 +187,9 @@ def decompose_for_axis(s, axis) -> DecompositionResult:
             raise InvalidState("no chord direction found")
     s_alpha = h * n + radius * u
     s_beta = h * n - radius * u
-    p_alpha = 0.5 * (1.0 + norm_perp / radius)
     return DecompositionResult(s_alpha=s_alpha, s_beta=s_beta,
-                               p_alpha=p_alpha, p_beta=1.0 - p_alpha)
+                               p_alpha=0.5 * (1.0 + norm_perp / radius),
+                               p_beta=0.5 * (1.0 - norm_perp / radius))
 
 
 def d_via_decomposition(rot: RotationSpec, s) -> float:
@@ -332,15 +333,16 @@ def duality_report(cfg: interferometer.InterferometerConfig, s) -> DualityReport
 
 
 def _check_report(report: DualityReport, rot: RotationSpec, s) -> None:
-    if abs(report.sum_vd - 1.0) > 1e-10:
+    # each check is written `not (... <= tol)` so that a NaN fails it
+    if not (abs(report.sum_vd - 1.0) <= 1e-10):
         raise InvalidState(f"WPD equality violated: V^2+D^2 = {report.sum_vd}")
     e2 = float(rot.e @ rot.e)
     s2 = float(s @ s)
-    if abs(report.sum_vdc - (rot.e0**2 + e2 * s2)) > 1e-10:
+    if not (abs(report.sum_vdc - (rot.e0**2 + e2 * s2)) <= 1e-10):
         raise InvalidState("conventional WPD sum off its closed form")
-    if report.d_conventional > report.d_general + 1e-10:
+    if not (report.d_conventional <= report.d_general + 1e-10):
         raise InvalidState("Dc exceeded D")
-    if abs(d_via_decomposition(rot, s) - report.d_general) > 1e-10:
+    if not (abs(d_via_decomposition(rot, s) - report.d_general) <= 1e-10):
         raise InvalidState("decomposition route disagrees with D")
 
 

@@ -40,10 +40,6 @@ class EmptyInput(WpdError):
     category = "empty-input"
 
 
-class EmptyCounts(WpdError):
-    category = "empty-counts"
-
-
 class NonConvergence(WpdError):
     """An iterative fit failed to converge within its iteration budget."""
 
@@ -66,3 +62,9 @@ class GateFailure(WpdError):
     """An internal assertion gate of a CLI run did not pass."""
 
     category = "gate"
+
+
+class EmptyCounts(GateFailure):
+    """No photon was detected: a chance outcome of a small run, not a bad setting."""
+
+    category = "empty-counts"

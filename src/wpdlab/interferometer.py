@@ -43,7 +43,7 @@ InvalidState as a one-point call does. The blocked-path outputs of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -74,9 +74,6 @@ class InterferometerConfig:
             raise InvalidState(
                 f"visibility_scale must lie in (0, 1], got {self.visibility_scale}"
             )
-
-    def with_phase(self, phi: float) -> "InterferometerConfig":
-        return replace(self, phase_phi=float(phi))
 
 
 @dataclass(frozen=True)
@@ -278,20 +275,6 @@ def output_density(cfg: InterferometerConfig, rho_in, port: int):
 def output_probability(cfg: InterferometerConfig, rho_in, port: int) -> float:
     """Port intensity alone; defined even for a dark port."""
     return float(np.trace(_point_operator(cfg, rho_in, port)).real)
-
-
-def interference_coefficient(cfg: InterferometerConfig, rho_in) -> complex:
-    """Complex fringe coefficient C of the port-1 intensity.
-
-    I1(phi) = (1/2) [1 + scale |C| cos(phi + arg C)] reproduces
-    `output_density(port=1)` exactly; |C| is the fringe visibility. C equals
-    minus the trace form Tr[U_R(t0) rho U~_R(t1)^+] because port 1 is dark at
-    phi = 0 under the beamsplitter conventions above.
-    """
-    rho = polarization.as_density(rho_in)
-    u0 = retro_rotator(cfg.theta0_deg)
-    u1t = retro_rotator_flipped(cfg.theta1_deg)
-    return -complex(np.trace(u0 @ rho @ u1t.conj().T))
 
 
 def conditional_output(cfg: InterferometerConfig, rho_in, open_path: int, port: int):

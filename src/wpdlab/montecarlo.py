@@ -110,11 +110,12 @@ def optimal_whichway_analyzer(cfg: interferometer.InterferometerConfig,
     for a given pure branch input.
 
     Derived from the model itself: the optimal projective basis is the
-    eigenbasis of the difference of the two path-conditional output states,
-    which for linear-polarization inputs stays linear; the half-wave plate is
-    set to half the basis angle. For the H / V branches at theta0 = 0 this
-    lands at 22.5 + theta1/2 degrees modulo 45 (an offset of 45 only swaps
-    the two detector labels).
+    eigenbasis of the difference of the two path-conditional output states.
+    Both arm rotators turn about s2, so the two outputs share their s2
+    component and the difference lies in the s1-s3 plane for every input:
+    the basis is linear, and the half-wave plate is set to half its angle.
+    For the H / V branches at theta0 = 0 this lands at 22.5 + theta1/2
+    degrees modulo 45 (an offset of 45 only swaps the two detector labels).
     """
     rho = polarization.as_density(branch_input)
     _, r0 = interferometer.conditional_output(cfg, rho, open_path=0, port=1)
@@ -123,8 +124,6 @@ def optimal_whichway_analyzer(cfg: interferometer.InterferometerConfig,
     if np.linalg.norm(diff) < 1e-12:
         # indistinguishable branches: any basis is equally (non-)informative
         return interferometer.AnalyzerSetting(hwp_angle_deg=0.0, qwp_angle_deg=0.0)
-    if abs(diff[1]) > 1e-9 * np.linalg.norm(diff):
-        raise InvalidState("optimal basis is not linear; a QWP offset would be needed")
     basis_angle = 0.5 * math.degrees(math.atan2(diff[0], diff[2]))
     return interferometer.AnalyzerSetting(hwp_angle_deg=basis_angle / 2.0,
                                           qwp_angle_deg=0.0)
@@ -191,14 +190,7 @@ class DistinguishabilityRun:
 
     estimate: EstimateWithCI
     branch_records: Dict[str, CountRecord] = field(repr=False, default=None)
-    branch_likelihoods: Dict[str, float] = None
-    analyzers: Dict[str, interferometer.AnalyzerSetting] = None
-
-
-_BRANCH_INPUTS = {
-    "alpha": np.diag([1.0, 0.0]).astype(complex),  # |H>, Stokes (0, 0, +1)
-    "beta": np.diag([0.0, 1.0]).astype(complex),   # |V>, Stokes (0, 0, -1)
-}
+    branch_likelihoods: Dict[str, EstimateWithCI] = None
 
 
 def estimate_distinguishability_decomposed(
@@ -207,28 +199,34 @@ def estimate_distinguishability_decomposed(
         resamples: int = DEFAULT_RESAMPLES) -> DistinguishabilityRun:
     """Decomposition estimator for the generalized distinguishability.
 
-    The source (assumed s ~ (0, 0, s3)) is split into the H / V pure
-    branches with weights (1 +- s3) / 2; each branch runs the blocked-path
-    likelihood measurement at its model-optimal analyzer, and
-    D = p_a (2 L_a - 1) + p_b (2 L_b - 1). The CI propagates the two
-    bootstrap resamples through the same combination.
+    The source is split into two pure branches at equal height along the
+    rotation axis (`duality.decompose_for_axis`; alpha is the branch with the
+    larger s3, so an s3-axis source gives the H / V branches with weights
+    (1 +- s3) / 2). Each branch runs the blocked-path likelihood measurement
+    at its model-optimal analyzer, and D = p_a (2 L_a - 1) + p_b (2 L_b - 1).
+    The CI propagates the two branch bootstraps through the same combination;
+    each branch's likelihood CI comes from its own bootstrap.
     """
-    s = polarization.as_stokes(source_s)
-    weights = {"alpha": 0.5 * (1.0 + s[2]), "beta": 0.5 * (1.0 - s[2])}
-    records, likelihoods, analyzers, boots = {}, {}, {}, {}
-    for branch, rho_branch in _BRANCH_INPUTS.items():
+    dec = duality.decompose_for_axis(source_s, duality.ROTATION_AXIS)
+    branches = [(dec.s_alpha, dec.p_alpha), (dec.s_beta, dec.p_beta)]
+    if dec.s_alpha[2] < dec.s_beta[2]:
+        branches.reverse()
+    records, likelihoods = {}, {}
+    value = samples = 0.0
+    for branch, (s_branch, weight) in zip(("alpha", "beta"), branches):
+        rho_branch = polarization.density_from_stokes(s_branch)
         analyzer = optimal_whichway_analyzer(cfg, rho_branch)
         record = which_way_counts(cfg, rho_branch, analyzer, photons_per_branch, rng)
+        like = likelihood_point_estimate(record)
+        boot = _bootstrap_likelihood(record, resamples, rng)
         records[branch] = record
-        analyzers[branch] = analyzer
-        likelihoods[branch] = likelihood_point_estimate(record)
-        boots[branch] = _bootstrap_likelihood(record, resamples, rng)
-    value = sum(weights[b] * (2.0 * likelihoods[b] - 1.0) for b in weights)
-    samples = sum(weights[b] * (2.0 * boots[b] - 1.0) for b in weights)
+        likelihoods[branch] = EstimateWithCI(like, *_percentile_ci(boot, like))
+        value += weight * (2.0 * like - 1.0)
+        samples += weight * (2.0 * boot - 1.0)
     lo, hi = _percentile_ci(samples, value)
     return DistinguishabilityRun(
         estimate=EstimateWithCI(value=float(value), ci_low=lo, ci_high=hi),
-        branch_records=records, branch_likelihoods=likelihoods, analyzers=analyzers)
+        branch_records=records, branch_likelihoods=likelihoods)
 
 
 def estimate_visibility_mc(cfg: interferometer.InterferometerConfig, rho_in,

@@ -23,7 +23,7 @@ from typing import Tuple
 import numpy as np
 
 from . import linalg, polarization
-from .errors import DegenerateSpan, InvalidState, NonUnitary
+from .errors import InvalidState, NonUnitary
 
 _NORM_TOL = 1e-12
 _E_ALPHA = np.array([1.0, 0.0], dtype=complex)
@@ -265,21 +265,3 @@ def m_operator_value(p: PurifiedWWM) -> float:
     m = 0.5 * (m_plus - m_minus)
     delta = np.outer(p.psi0, p.psi0.conj()) - np.outer(p.psi1, p.psi1.conj())
     return float(np.trace(m @ delta).real)
-
-
-def pi_d_pure(phi0, phi1):
-    """Pure-marker discriminating measurement: eigensystem of pi0 - pi1.
-
-    Returns (D, phi_plus, phi_minus) with D = sqrt(1 - |<phi0|phi1>|^2) and
-    <phi+|pi0|phi+> + <phi-|pi1|phi-> - 1 = D. Raises DegenerateSpan when the
-    states coincide up to phase.
-    """
-    phi0 = _unit(phi0, "phi0")
-    phi1 = _unit(phi1, "phi1")
-    overlap = complex(phi0.conj() @ phi1)
-    if abs(overlap) >= 1.0 - 1e-12:
-        raise DegenerateSpan("phi0 and phi1 coincide up to phase; D = 0")
-    d = float(np.sqrt(max(0.0, 1.0 - abs(overlap) ** 2)))
-    diff = np.outer(phi0, phi0.conj()) - np.outer(phi1, phi1.conj())
-    _, vectors = linalg.herm_eig2(diff)
-    return d, vectors[:, 0], vectors[:, 1]

