@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__, duality, interferometer, montecarlo, polarization
 from .errors import ConfigError, GateFailure, InvalidState, WpdError
 
-_FLOAT_FMT = "{:.12g}"
+_FLOAT_FMT = "%.12g"
 
 
 # ---------------------------------------------------------------------------
@@ -239,18 +239,16 @@ def provenance_lines(cfg: RunConfig) -> List[str]:
     ]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return _FLOAT_FMT.format(value)
-    return str(value)
-
-
 def write_csv(path, cfg: RunConfig, columns: Sequence[str], rows,
               extra_comments: Sequence[str] = ()) -> str:
+    """Provenance header, column names and rows, in one `%` format per table
+    built from the first row: `%.12g` for a float (np.float64 included), `str`
+    for the rest. Later rows hold the same types; "" may fill a `str` column."""
     lines = provenance_lines(cfg) + list(extra_comments)
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    if rows:
+        fmt = ",".join(_FLOAT_FMT if isinstance(v, float) else "%s" for v in rows[0])
+        lines.extend(fmt % tuple(row) for row in rows)
     text = "\n".join(lines) + "\n"
     if path:
         _write_output(path, text)

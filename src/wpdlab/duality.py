@@ -167,10 +167,10 @@ def decompose_for_axis(s, axis) -> DecompositionResult:
     n = np.asarray(axis, dtype=float)
     n = n / np.linalg.norm(n)
     norm_s = float(np.linalg.norm(s))
-    if norm_s >= 1.0 - 1e-12:
-        return DecompositionResult(s_alpha=s.copy(), s_beta=-s.copy(),
-                                   p_alpha=1.0, p_beta=0.0)
     h = float(n @ s)
+    if norm_s >= 1.0 - 1e-12:  # pure: beta is the mirror of s at the same height
+        return DecompositionResult(s_alpha=s.copy(), s_beta=2.0 * h * n - s,
+                                   p_alpha=1.0, p_beta=0.0)
     radius = math.sqrt(max(0.0, 1.0 - h * h))
     perp = s - h * n
     norm_perp = float(np.linalg.norm(perp))

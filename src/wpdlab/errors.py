@@ -46,12 +46,6 @@ class NonConvergence(WpdError):
     category = "non-convergence"
 
 
-class DegenerateSpan(WpdError):
-    """The two joint states coincide; the discriminating eigenspace is undefined."""
-
-    category = "degenerate-span"
-
-
 class ConfigError(WpdError):
     """Malformed run configuration (file or flags)."""
 

@@ -35,7 +35,9 @@ U_BS^+ P_k U_W U_BS (P_k projects onto path k). `fringe_scan`, the one-point
 port functions and `port_probabilities` (the grid entry of the Monte Carlo
 fringe truth) sum both arms in one stacked kernel run in fixed-size blocks,
 so each number is bit for bit a one-point result; non-finite phases raise
-InvalidState as a one-point call does. The blocked-path outputs of
+InvalidState as a one-point call does. A product with a constant factor
+(U_BS^+ P_k, U_BS, rho) is one 2-D matrix product over the block, not one
+small BLAS call per point. The blocked-path outputs of
 `conditional_output` take the open arm's operator alone.
 `path_unitary` and `interferometer_unitary` are the test oracle.
 """
@@ -205,6 +207,19 @@ _UBS_ADJ_PATHS = tuple(_UBS.conj().T @ np.diag(d).astype(complex)
                        for d in ([1, 1, 0, 0], [0, 0, 1, 1]))
 
 
+def _left_product(a: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """`a @ stack`, one 2-D product over the whole (N, r, c) stack."""
+    n, rows, cols = stack.shape
+    flat = stack.transpose(1, 0, 2).reshape(rows, n * cols)
+    return (a @ flat).reshape(a.shape[0], n, cols).transpose(1, 0, 2)
+
+
+def _right_product(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`stack @ b`, one 2-D product over the whole (N, r, c) stack."""
+    n, rows, cols = stack.shape
+    return (stack.reshape(n * rows, cols) @ b).reshape(n, rows, b.shape[1])
+
+
 def _arm_operators(cfg: InterferometerConfig, phases: np.ndarray, paths):
     """U_BS^+ P_k U_W U_BS, one (N, 4, 4) stack per arm k in `paths`, at
     arm-0 `phases`. With one arm in `paths` it is the round trip with the
@@ -213,14 +228,15 @@ def _arm_operators(cfg: InterferometerConfig, phases: np.ndarray, paths):
     uw = np.zeros((phases.size, 4, 4), dtype=complex)
     uw[:, :2, :2] = np.exp(1j * phases)[:, None, None] * retro_rotator(cfg.theta0_deg)
     uw[:, 2:, 2:] = retro_rotator(cfg.theta1_deg)
-    return [_UBS_ADJ_PATHS[k] @ uw @ _UBS for k in paths]
+    return [_right_product(_left_product(_UBS_ADJ_PATHS[k], uw), _UBS) for k in paths]
 
 
 def _port_operators(cfg: InterferometerConfig, rho: np.ndarray, phases, kappa):
     """Unnormalized port-0 and calibrated port-1 operators, each (N, 2, 2),
     at arm-0 `phases` with the cross term scaled by `kappa` (scalar or (N,)).
     One stack entry per point, same products in the same order as the 4x4
-    route, so each point is bit for bit a one-point call. `rho` is trusted.
+    route, so each point is bit for bit a one-point call; the products with
+    `rho` on the right are one 2-D product per arm. `rho` is trusted.
     """
     phases = np.asarray(phases, dtype=float)
     if not np.isfinite(phases).all():
@@ -230,11 +246,12 @@ def _port_operators(cfg: InterferometerConfig, rho: np.ndarray, phases, kappa):
     for start in range(0, phases.size, _BLOCK_POINTS):
         block = slice(start, start + _BLOCK_POINTS)
         ops = _arm_operators(cfg, phases[block], (0, 1))
+        ops_rho = [_right_product(op[:, :, 0:2], rho) for op in ops]
         scale = kappa[block, None, None]
         for port in (0, 1):
-            b0, b1 = (op[:, 2 * port:2 * port + 2, 0:2] for op in ops)
-            b0h, b1h = (b.conj().swapaxes(-1, -2) for b in (b0, b1))
-            b0r, b1r = b0 @ rho, b1 @ rho
+            rows = slice(2 * port, 2 * port + 2)
+            b0h, b1h = (op[:, rows, 0:2].conj().swapaxes(-1, -2) for op in ops)
+            b0r, b1r = (op_rho[:, rows] for op_rho in ops_rho)
             raw = (b0r @ b0h + b1r @ b1h) + scale * (b0r @ b1h + b1r @ b0h)
             out[port, block] = _SIGMA3 @ raw @ _SIGMA3 if port == 1 else raw
     return out[0], out[1]

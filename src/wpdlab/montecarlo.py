@@ -175,15 +175,6 @@ def _bootstrap_likelihood(record: CountRecord, resamples: int,
     return num / total
 
 
-def estimate_likelihood(record: CountRecord, rng: np.random.Generator,
-                        resamples: int = DEFAULT_RESAMPLES) -> EstimateWithCI:
-    """Plug-in which-way likelihood with a nonparametric bootstrap CI."""
-    value = likelihood_point_estimate(record)
-    samples = _bootstrap_likelihood(record, resamples, rng)
-    lo, hi = _percentile_ci(samples, value)
-    return EstimateWithCI(value=value, ci_low=lo, ci_high=hi)
-
-
 @dataclass(frozen=True)
 class DistinguishabilityRun:
     """Result of the decomposition-based D measurement."""

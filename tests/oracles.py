@@ -8,8 +8,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from wpdlab import interferometer, linalg, polarization
-from wpdlab.errors import DegenerateSpan
+from wpdlab import interferometer, linalg, montecarlo, polarization
+from wpdlab.errors import WpdError
+
+
+class DegenerateSpan(WpdError):
+    """The two joint states coincide; the discriminating eigenspace is undefined."""
+
+    category = "degenerate-span"
 
 
 def with_phase(cfg: interferometer.InterferometerConfig, phi: float):
@@ -47,3 +53,19 @@ def pi_d_pure(phi0, phi1):
     diff = np.outer(phi0, phi0.conj()) - np.outer(phi1, phi1.conj())
     _, vectors = linalg.herm_eig2(diff)
     return d, vectors[:, 0], vectors[:, 1]
+
+
+def estimate_likelihood(record: montecarlo.CountRecord, rng: np.random.Generator,
+                        resamples: int = montecarlo.DEFAULT_RESAMPLES):
+    """Plug-in which-way likelihood of one count table with its own
+    nonparametric bootstrap CI, the one-branch form of the D estimator."""
+    value = montecarlo.likelihood_point_estimate(record)
+    samples = montecarlo._bootstrap_likelihood(record, resamples, rng)
+    lo, hi = montecarlo._percentile_ci(samples, value)
+    return montecarlo.EstimateWithCI(value=value, ci_low=lo, ci_high=hi)
+
+
+def csv_line(row) -> str:
+    """One CSV line formatted value by value: `{:.12g}` for a float
+    (np.float64 included), `str` for anything else."""
+    return ",".join("{:.12g}".format(v) if isinstance(v, float) else str(v) for v in row)

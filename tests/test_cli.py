@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import csv_line
 from wpdlab import cli, duality, interferometer, montecarlo
 from wpdlab.errors import ConfigError, GateFailure, InvalidState
 
@@ -147,6 +148,25 @@ class TestSweep:
         assert len(rows) == 4
         assert {row["case"] for row in rows} == {"a", "d"}
 
+    @pytest.mark.parametrize("x, theta1", [(0.42542975577943, "0.1:45.1:0.25"),
+                                           (-0.15432405043302239, "0.01:45.01:0.25")])
+    def test_rotation_axis_source_closed_forms(self, tmp_path, x, theta1):
+        # On s = (0, x, 0) the Dc term |s|^2 - s2^2 is zero exactly, but the
+        # form sqrt(s.s - np.float64(s2)**2) reads about 1e-9 for these x,
+        # where the power is one ulp off x*x; Dc must stay at rounding level.
+        out = tmp_path / "sweep.csv"
+        cfg = cli.build_run_config({}, {
+            "theta0": "0", "theta1": theta1, "stokes": f"0,{x!r},0", "out": str(out)}, "sweep")
+        cli.run_sweep(cfg)
+        _, rows = read_rows(out)
+        assert len(rows) == 181
+        for row in rows:
+            t = math.radians(float(row["theta1_deg"]))
+            c2, s2t = math.cos(2 * t), abs(math.sin(2 * t))
+            assert float(row["Dc"]) <= 1e-15
+            assert abs(float(row["V"]) - math.sqrt(c2 * c2 + x * x * (1 - c2 * c2))) <= 1e-11
+            assert abs(float(row["D"]) - math.sqrt(1 - x * x) * s2t) <= 1e-11
+
     def test_provenance_header(self, tmp_path):
         out = tmp_path / "sweep.csv"
         cfg = cli.build_run_config({}, {"theta1": "0", "out": str(out)}, "sweep")
@@ -241,6 +261,53 @@ class TestTomographyRunner:
             truth = float(row["truth"])
             width = high - low
             assert low - width <= truth <= high + width
+
+
+class TestWriteCsv:
+    """One `%` format per table writes the text of the per-value join."""
+
+    @staticmethod
+    def per_value_text(cfg, columns, rows):
+        return "\n".join(cli.provenance_lines(cfg) + [",".join(columns)]
+                         + [csv_line(row) for row in rows]) + "\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--theta1=0:45:2.5", "--stokes=0,0,0;0.3,-0.4,0.5;0,0.42542975577943,0"],
+        ["fringe", "--stokes=0.6,0,0.8", "--theta1=22.5"],
+        ["fringe", "--bandwidth-nm=10", "--shape=rectangular", "--delta=-60:60:0.37"],
+        ["erasure", "--stokes=0,0,0.3", "--theta0=10"],
+        ["wpd-verify", "--photons=2000", "--resamples=50", "--seed=1234567890123"],
+        ["montecarlo", "--photons=2000", "--resamples=50", "--stokes=0.3,0.2,0.4"],
+        ["tomography", "--photons=2000", "--resamples=50", "--stokes=1,0,0"],
+    ])
+    def test_rows_of_every_mode(self, tmp_path, monkeypatch, argv):
+        tables, write = [], cli.write_csv
+
+        def spy(path, cfg, columns, rows, extra_comments=()):
+            tables.append((cfg, columns, rows))
+            return write(path, cfg, columns, rows, extra_comments)
+
+        monkeypatch.setattr(cli, "write_csv", spy)
+        assert cli.main(argv + [f"--out={tmp_path / 'out.csv'}"]) == 0
+        assert tables
+        for cfg, columns, rows in tables:
+            assert write(None, cfg, columns, rows) == self.per_value_text(cfg, columns, rows)
+
+    def test_edge_values(self):
+        cfg = cli.RunConfig()
+        columns = ("value", "seed", "blank", "label", "count")
+        floats = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300,
+                  np.float64(1 / 3), np.float64(-2.5e-7), 123456789012.5]
+        rows = [(v, 1234567890123 + k, "", f"label{k}", np.int64(-k))
+                for k, v in enumerate(floats)]
+        text = cli.write_csv(None, cfg, columns, rows)
+        assert text == self.per_value_text(cfg, columns, rows)
+        assert "nan,1234567890123,,label0,0\ninf," in text
+        assert "\n-0,1234567890126," in text and "\n1e+300," in text
+
+    def test_header_only(self):
+        cfg = cli.RunConfig()
+        assert cli.write_csv(None, cfg, ("a", "b"), []) == self.per_value_text(cfg, ("a", "b"), [])
 
 
 class TestPlot:

@@ -180,10 +180,13 @@ class TestDecomposeForAxis:
         assert np.linalg.norm(dec.s_beta) == pytest.approx(1.0, abs=1e-10)
 
     def test_pure_state_trivial(self, rng):
-        s = random_pure_stokes(rng)
-        dec = du.decompose_for_axis(s, Y_AXIS)
-        assert dec.p_alpha == 1.0 and dec.p_beta == 0.0
-        assert np.array_equal(dec.s_alpha, s)
+        for _ in range(20):
+            s = random_pure_stokes(rng)
+            for axis in (Y_AXIS, random_pure_stokes(rng)):
+                dec = du.decompose_for_axis(s, axis)
+                assert dec.p_alpha == 1.0 and dec.p_beta == 0.0
+                assert np.array_equal(dec.s_alpha, s)
+                self._check_invariants(dec, s, axis)
 
     def test_unphysical_rejected(self):
         with pytest.raises(InvalidState):

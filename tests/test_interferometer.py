@@ -14,6 +14,14 @@ RHO_H = np.diag([1.0, 0.0]).astype(complex)
 RHO_V = np.diag([0.0, 1.0]).astype(complex)
 
 
+def same_bits(got, want) -> bool:
+    """Equal bit for bit, so that a signed zero counts: `np.array_equal`
+    has -0.0 == 0.0."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape \
+        and got.tobytes() == want.tobytes()
+
+
 def reference_port_amplitudes(cfg, port):
     """Per-point 4x4 route, one product per arm: the stacked core's reference."""
     ubs = itf.npbs_unitary()
@@ -531,7 +539,7 @@ class TestStackedCore:
             want = reference_fringe_scan(cfg, rho, spectral, delta, analyzer)
             assert rows.shape == want.shape
             for k in range(want.shape[1]):
-                assert np.array_equal(rows[:, k], want[:, k]), k
+                assert same_bits(rows[:, k], want[:, k]), k
 
     def test_one_point_calls_equal_per_point_route(self, rng):
         for _ in range(20):
@@ -542,10 +550,37 @@ class TestStackedCore:
             for port in (0, 1):
                 raw = reference_port_state(cfg, rho, port, cfg.visibility_scale)
                 prob = float(np.trace(raw).real)
-                assert itf.output_probability(cfg, rho, port) == prob
+                assert same_bits(itf.output_probability(cfg, rho, port), prob)
                 got_prob, got_state = itf.output_density(cfg, rho, port)
-                assert got_prob == prob
-                assert np.array_equal(got_state, raw / prob)
+                assert same_bits(got_prob, prob)
+                assert same_bits(got_state, raw / prob)
+
+    @pytest.mark.parametrize("s", [(0, 0, 0), (0, 0, 1), (0, 0, -1), (0, 0, 0.4)])
+    def test_zero_angles_keep_signed_zeros(self, rng, s):
+        # At theta0 = theta1 = 0 many operator entries are exact zeros; a
+        # product taken in another order can flip their signs.
+        rho = pol.density_from_stokes(s)
+        spectral = itf.SpectralModel()
+        delta = np.linspace(0.0, 679e-3 / 2, itf._BLOCK_POINTS + 1)
+        for scale in (1.0, 0.7):
+            cfg = itf.InterferometerConfig(visibility_scale=scale)
+            for analyzer in (None, itf.CIRCULAR_ANALYZER):
+                _, rows = itf.fringe_scan(cfg, rho, spectral, delta, analyzer)
+                assert same_bits(rows, reference_fringe_scan(cfg, rho, spectral, delta, analyzer))
+            phases = np.concatenate([[0.0, math.pi / 2, math.pi], rng.uniform(-10, 10, 5)])
+            ops = itf._port_operators(cfg, rho, phases, scale)
+            for k, phi in enumerate(phases):
+                pointcfg = with_phase(cfg, phi)
+                for port in (0, 1):
+                    raw = reference_port_state(pointcfg, rho, port, scale)
+                    assert same_bits(ops[port][k], raw), (phi, port)
+                    prob = float(np.trace(raw).real)
+                    if prob < 1e-15:
+                        with pytest.raises(ZeroProbability):
+                            itf.output_density(pointcfg, rho, port)
+                        continue
+                    got_prob, got_state = itf.output_density(pointcfg, rho, port)
+                    assert same_bits(got_prob, prob) and same_bits(got_state, raw / prob)
 
     def test_matches_unitary_oracle(self, rng):
         for _ in range(10):
@@ -583,7 +618,7 @@ class TestStackedCore:
         p0, p1 = itf.port_probabilities(cfg, rho, phases)
         for port, got in ((0, p0), (1, p1)):
             want = [itf.output_probability(with_phase(cfg, f), rho, port) for f in phases]
-            assert np.array_equal(got, want)
+            assert same_bits(got, want)
 
     def test_port_probabilities_validate_rho(self):
         with pytest.raises(InvalidState):

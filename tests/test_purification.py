@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary, haar_vector, random_stokes
-from oracles import pi_d_pure
+from oracles import DegenerateSpan, pi_d_pure
 from wpdlab import duality as du, interferometer as itf, linalg, polarization as pol
 from wpdlab import purification as pu
-from wpdlab.errors import DegenerateSpan, InvalidState, NonUnitary
+from wpdlab.errors import InvalidState, NonUnitary
 
 UNPOLARIZED = np.eye(2, dtype=complex) / 2
 
