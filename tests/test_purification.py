@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary, haar_vector, random_stokes
-from oracles import DegenerateSpan, pi_d_pure
+from oracles import DegenerateSpan, m_operator_4x4, partial_trace, pi_d_pure
 from wpdlab import duality as du, interferometer as itf, linalg, polarization as pol
 from wpdlab import purification as pu
 from wpdlab.errors import InvalidState, NonUnitary
 
 UNPOLARIZED = np.eye(2, dtype=complex) / 2
+# sources where 1 - |<phi_k0|phi_k1>|^2 cancels to ~1e-8 at U = I
+CANCELLING_STOKES = ([0.6, 0.0, 0.0], [0.0, 0.999999, 0.0])
 
 
 def delta_operator(p):
@@ -123,10 +125,21 @@ class TestPurify:
             rot = haar_unitary(rng) if rng.random() < 0.5 else None
             p = pu.purify(rho0, u, e_basis_rotation=rot)
             m0, m1 = pu.marker_states(p)
+            for m, psi in ((m0, p.psi0), (m1, p.psi1)):
+                oracle = partial_trace(np.outer(psi, psi.conj()), keep="first")
+                assert np.max(np.abs(m - oracle)) < 1e-15
             assert np.max(np.abs(m0 - rho0)) < 1e-10
             assert np.max(np.abs(m1 - u @ rho0 @ u.conj().T)) < 1e-10
             assert abs(np.linalg.norm(p.psi0) - 1) < 1e-12
             assert np.max(np.abs(p.psi1 - np.kron(u, np.eye(2)) @ p.psi0)) < 1e-15
+
+    def test_branch_states_must_be_2_vectors(self, rng):
+        four = [haar_vector(rng, 4), haar_vector(rng, 4)]
+        with pytest.raises(InvalidState, match="phi_alpha"):
+            pu.purify_from_mixture([0.5, 0.5], four, linalg.SIGMA0)
+        with pytest.raises(InvalidState, match="phi_beta"):
+            pu.purify_from_mixture([0.5, 0.5], [four[0][:2] / np.linalg.norm(four[0][:2]),
+                                                four[1]], linalg.SIGMA0)
 
     def test_non_unitary_rejected(self, rng):
         with pytest.raises(NonUnitary):
@@ -170,6 +183,20 @@ class TestJointVcd:
             base = pu.joint_vcd(pu.purify(rho, u))
             rotated = pu.joint_vcd(pu.purify(rho, u, e_basis_rotation=haar_unitary(rng)))
             assert np.max(np.abs(np.array(base) - np.array(rotated))) < 1e-12
+
+
+    def test_d_free_of_cancellation(self, rng):
+        # at psi1 = e^{i theta} psi0, D must read 0 like the projective
+        # route, not the ~1e-8 that sqrt(1 - V^2) leaves
+        for k in range(2000):
+            rho = pol.density_from_stokes(random_stokes(rng))
+            rot = haar_unitary(rng) if rng.random() < 0.5 else None
+            u = (np.exp(1j * rng.uniform(0, 2 * math.pi)) * linalg.SIGMA0 if k % 2
+                 else haar_unitary(rng))
+            p = pu.purify(rho, u, e_basis_rotation=rot)
+            v, _, d = pu.joint_vcd(p)
+            assert abs(d - pu.projective_d_value(p)) < 1e-12
+            assert abs(v * v + d * d - 1) < 1e-14
 
 
 class TestDeltaEigensystem:
@@ -266,6 +293,62 @@ class TestMOperator:
             d, _, _ = pu.delta_eigensystem(p)
             worst = max(worst, pu.m_operator_value(p) - d)
         assert worst <= 1e-10
+
+
+    def test_closed_form_matches_oracle(self, rng):
+        cases = []
+        for _ in range(300):  # random markers, unitaries and environment bases
+            rho = pol.density_from_stokes(random_stokes(rng))
+            cases.append(pu.purify(rho, haar_unitary(rng), e_basis_rotation=haar_unitary(rng)))
+        for _ in range(50):
+            u = haar_unitary(rng)
+            s = random_stokes(rng)
+            phase = np.exp(1j * rng.uniform(0, 2 * math.pi))
+            cases += [
+                # coinciding branches: U = I, a global phase, and U diagonal
+                # in the spectral basis of the marker
+                pu.purify(pol.density_from_stokes(s), linalg.SIGMA0),
+                pu.purify(pol.density_from_stokes(s), phase * linalg.SIGMA0,
+                          e_basis_rotation=haar_unitary(rng)),
+                pu.purify(pol.density_from_stokes([0, 0, s[2]]), np.diag([phase, 1.0])),
+                # pure and unpolarized markers
+                pu.purify(pol.density_from_stokes(s / np.linalg.norm(s)), u,
+                          e_basis_rotation=haar_unitary(rng)),
+                pu.purify(UNPOLARIZED, u, e_basis_rotation=haar_unitary(rng)),
+                # a zero-weight branch
+                pu.purify_from_mixture([1.0, 0.0], [haar_vector(rng, 2), haar_vector(rng, 2)], u),
+                pu.purify_from_mixture([0.0, 1.0], [haar_vector(rng, 2), haar_vector(rng, 2)], u),
+            ]
+        worst = max(abs(pu.m_operator_value(p) - m_operator_4x4(p)) for p in cases)
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("s", CANCELLING_STOKES)
+    def test_bound_where_overlaps_cancel(self, rng, s):
+        rho = pol.density_from_stokes(s)
+        for u in (linalg.SIGMA0, np.exp(0.3j) * linalg.SIGMA0):
+            for rot in (None, haar_unitary(rng), haar_unitary(rng)):
+                p = pu.purify(rho, u, e_basis_rotation=rot)
+                _, _, d = pu.joint_vcd(p)
+                assert pu.m_operator_value(p) <= d + 1e-12
+                assert pu.m_operator_value(p) <= pu.projective_d_value(p) + 1e-12
+
+
+class TestWorkCount:
+    def test_one_eigensolve_per_purify(self, rng, monkeypatch):
+        calls = []
+        herm_eig2 = linalg.herm_eig2
+
+        def counted(h):
+            calls.append(h)
+            return herm_eig2(h)
+
+        monkeypatch.setattr(linalg, "herm_eig2", counted)
+        rho = pol.density_from_stokes(random_stokes(rng))
+        p = pu.purify(rho, haar_unitary(rng), e_basis_rotation=haar_unitary(rng))
+        assert len(calls) == 1
+        for fn in (pu.marker_states, pu.joint_vcd, pu.projective_d_value, pu.m_operator_value):
+            fn(p)
+        assert len(calls) == 1
 
 
 class TestPiDPure:
