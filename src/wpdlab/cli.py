@@ -104,8 +104,10 @@ def parse_scalar_or_range(text: str, what: str) -> tuple:
             n = (stop - start) / step + 0.5
             if not n < MAX_GRID_POINTS + 1:  # an overflowing span gives inf
                 raise ValueError(too_long)
-            values = tuple(start + k * step for k in range(int(n) + 1)
-                           if start + k * step <= stop + 1e-9)
+            # near the float maximum a value past stop overflows to inf, and is dropped
+            with np.errstate(over="ignore"):
+                values = start + np.arange(int(n) + 1) * step
+            values = tuple(values[values <= stop + 1e-9].tolist())
             if len(values) > MAX_GRID_POINTS:
                 raise ValueError(too_long)
             return values

@@ -17,6 +17,13 @@ Stokes vector s gives
     V   = sqrt(e0^2 + (e.s)^2)
     Dc  = sqrt(e^2 s^2 - (e.s)^2)
     D   = sqrt(e^2 - (e.s)^2)
+
+Both arm rotators turn the Stokes vector about s2 by four times their
+wave-plate angle, and the sigma3 frame of the beamsplitter reverses the sense
+of arm 1. The relative rotation is therefore a turn about s2 that depends on
+theta0 + theta1 alone, and `rotation_from_config` writes its parameters in
+closed form: with a = 2 (theta0 + theta1) in radians, e0 = |cos a| and
+e = -sgn(cos a) sin a (0, 1, 0). No 2x2 matrix is built or decomposed.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import interferometer, linalg, polarization
-from .errors import InvalidState, NonOrthonormalBasis, NonUnitary
+from .errors import InvalidState, NonOrthonormalBasis
 
 # Both arm rotators turn about s2, so every relative rotation does too.
 ROTATION_AXIS = np.array([0.0, 1.0, 0.0])
@@ -35,16 +42,12 @@ ROTATION_AXIS = np.array([0.0, 1.0, 0.0])
 
 @dataclass(frozen=True)
 class RotationSpec:
-    """Euler-Rodrigues parameters of an SU(2) rotation, sign fixed to e0 >= 0.
-
-    e = sin(omega/2) * axis, e0 = cos(omega/2); a (numerically) trivial
-    rotation keeps the default axis (0, 1, 0).
-    """
+    """Euler-Rodrigues parameters of an SU(2) rotation by omega about `axis`,
+    sign fixed to e0 >= 0: e0 = cos(omega/2), e = sin(omega/2) * axis."""
 
     e0: float
     e: np.ndarray
     axis: np.ndarray
-    omega: float
 
 
 @dataclass(frozen=True)
@@ -71,44 +74,6 @@ class DualityReport:
     sum_vdc: float
 
 
-def su2_decompose(u) -> RotationSpec:
-    """Euler-Rodrigues parameters of a 2x2 unitary, global phase stripped.
-
-    The phase branch is chosen so that the stripped matrix has real
-    nonnegative trace (e0 >= 0); since every functional downstream depends
-    only on e0^2 and the dyad e e^T, the branch is observationally inert.
-    """
-    u = linalg.as_cmat(u, 2)
-    if not linalg.is_unitary(u):
-        raise NonUnitary("su2_decompose requires a unitary matrix")
-    det = np.linalg.det(u)
-    u = u / np.sqrt(det)
-    tr = np.trace(u)
-    if tr.real < 0 or (abs(tr.real) < 1e-15 and _first_e_component_negative(u)):
-        u = -u
-    e0 = float(np.trace(u).real / 2.0)
-    e = np.array([float((np.trace(sigma @ u) / 2j).real) for sigma in linalg.PAULI])
-    recon = e0 * linalg.SIGMA0 + 1j * (
-        e[0] * linalg.SIGMA1 + e[1] * linalg.SIGMA2 + e[2] * linalg.SIGMA3
-    )
-    if np.max(np.abs(recon - u)) > 1e-12:
-        raise NonUnitary("matrix is not SU(2) after phase stripping")
-    norm_e = float(np.linalg.norm(e))
-    e0 = max(-1.0, min(1.0, e0))
-    axis = e / norm_e if norm_e >= 1e-12 else ROTATION_AXIS.copy()
-    omega = 2.0 * math.atan2(norm_e, e0)
-    return RotationSpec(e0=e0, e=e, axis=axis, omega=omega)
-
-
-def _first_e_component_negative(u) -> bool:
-    # deterministic tie-break when Tr u is exactly zero (omega = pi)
-    for sigma in linalg.PAULI:
-        c = (np.trace(sigma @ u) / 2j).real
-        if abs(c) > 1e-12:
-            return c < 0
-    return False
-
-
 def relative_rotation(cfg: interferometer.InterferometerConfig) -> np.ndarray:
     """Net polarization rotation between the two arms as seen at the output:
     U_R(t0)^+ . [sigma3 U_R(t1) sigma3]."""
@@ -118,7 +83,11 @@ def relative_rotation(cfg: interferometer.InterferometerConfig) -> np.ndarray:
 
 
 def rotation_from_config(cfg: interferometer.InterferometerConfig) -> RotationSpec:
-    return su2_decompose(relative_rotation(cfg))
+    """Parameters of `relative_rotation(cfg)` in closed form (module docstring)."""
+    a = 2.0 * math.radians(cfg.theta0_deg + cfg.theta1_deg)
+    c = math.cos(a)
+    e = np.array([0.0, -math.copysign(1.0, c) * math.sin(a), 0.0])
+    return RotationSpec(e0=abs(c), e=e, axis=ROTATION_AXIS.copy())
 
 
 def visibility_stokes(rot: RotationSpec, s) -> float:

@@ -8,8 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from wpdlab import interferometer, linalg, montecarlo, polarization
-from wpdlab.errors import DimensionError, WpdError
+from wpdlab import duality, interferometer, linalg, montecarlo, polarization
+from wpdlab.errors import DimensionError, NonUnitary, WpdError
 
 
 class DegenerateSpan(WpdError):
@@ -35,6 +35,50 @@ def interference_coefficient(cfg: interferometer.InterferometerConfig, rho_in) -
     u0 = interferometer.retro_rotator(cfg.theta0_deg)
     u1t = interferometer.retro_rotator_flipped(cfg.theta1_deg)
     return -complex(np.trace(u0 @ rho @ u1t.conj().T))
+
+
+def su2_decompose(u) -> duality.RotationSpec:
+    """Euler-Rodrigues parameters of a 2x2 unitary, global phase stripped.
+
+    The phase branch is chosen so that the stripped matrix has real
+    nonnegative trace (e0 >= 0, up to rounding where Tr u ~ 0); every
+    functional depends only on e0^2 and the dyad e e^T, so the branch is
+    observationally inert. A trivial rotation keeps the axis (0, 1, 0).
+    """
+    u = linalg.as_cmat(u, 2)
+    if not linalg.is_unitary(u):
+        raise NonUnitary("su2_decompose requires a unitary matrix")
+    u = u / np.sqrt(np.linalg.det(u))
+    tr = np.trace(u)
+    if tr.real < 0 or (abs(tr.real) < 1e-15 and _first_e_component_negative(u)):
+        u = -u
+    e0 = float(np.trace(u).real / 2.0)
+    e = np.array([float((np.trace(sigma @ u) / 2j).real) for sigma in linalg.PAULI])
+    recon = e0 * linalg.SIGMA0 + 1j * (
+        e[0] * linalg.SIGMA1 + e[1] * linalg.SIGMA2 + e[2] * linalg.SIGMA3
+    )
+    if np.max(np.abs(recon - u)) > 1e-12:
+        raise NonUnitary("matrix is not SU(2) after phase stripping")
+    norm_e = float(np.linalg.norm(e))
+    axis = e / norm_e if norm_e >= 1e-12 else duality.ROTATION_AXIS.copy()
+    return duality.RotationSpec(e0=max(-1.0, min(1.0, e0)), e=e, axis=axis)
+
+
+def _first_e_component_negative(u) -> bool:
+    # deterministic tie-break when Tr u is exactly zero (omega = pi)
+    for sigma in linalg.PAULI:
+        c = (np.trace(sigma @ u) / 2j).real
+        if abs(c) > 1e-12:
+            return c < 0
+    return False
+
+
+def range_values(start: float, stop: float, step: float) -> tuple:
+    """An inclusive `start:stop:step` range built value by value, the
+    generator that `cli.parse_scalar_or_range` replaced with one array."""
+    n = (stop - start) / step + 0.5
+    return tuple(start + k * step for k in range(int(n) + 1)
+                 if start + k * step <= stop + 1e-9)
 
 
 def pi_d_pure(phi0, phi1):

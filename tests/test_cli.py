@@ -10,8 +10,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import csv_line
-from wpdlab import cli, duality, interferometer, montecarlo
+from oracles import csv_line, range_values
+from wpdlab import cli, duality, interferometer, linalg, montecarlo
 from wpdlab.errors import ConfigError, GateFailure, InvalidState
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -48,6 +48,20 @@ class TestParsing:
         for text in (f"0:{cap}:1", f"0:{cap + 0.1}:1"):
             with pytest.raises(ConfigError, match="at most"):
                 cli.parse_scalar_or_range(text, "theta1")
+
+    def test_range_matches_generator(self, rng):
+        # the array build is bit-exact against the value-by-value generator
+        cap = cli.MAX_GRID_POINTS
+        cases = [(0.0, cap - 1, 1.0), (0.0, cap - 0.4, 1.0), (0.1, 45.1, 0.25),
+                 (0.0, 1.0, 0.1), (-15.0, 15.0, 0.25), (1e308, 1.5e308, 1e308)]
+        for _ in range(2_000):
+            start, step = rng.uniform(-1e3, 1e3), 10.0 ** rng.uniform(-3, 1)
+            cases.append((start, start + step * rng.uniform(0, 500), step))
+        for start, stop, step in cases:
+            got = cli.parse_scalar_or_range(f"{start!r}:{stop!r}:{step!r}", "theta1")
+            want = range_values(start, stop, step)
+            assert all(type(v) is float for v in got)
+            assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
 
     @pytest.mark.parametrize("text", ["nan:1:1", "0:inf:1", "-1e308:1e308:1", "0:1:nan"])
     def test_range_non_finite(self, text):
@@ -166,6 +180,17 @@ class TestSweep:
             assert float(row["Dc"]) <= 1e-15
             assert abs(float(row["V"]) - math.sqrt(c2 * c2 + x * x * (1 - c2 * c2))) <= 1e-11
             assert abs(float(row["D"]) - math.sqrt(1 - x * x) * s2t) <= 1e-11
+
+    def test_no_rotator_products_per_row(self, tmp_path, monkeypatch):
+        # the relative rotation is closed form: no 2x2 product, no unitarity check
+        calls = {"is_unitary": 0, "retro_rotator": 0}
+        for module, name in ((linalg, "is_unitary"), (interferometer, "retro_rotator")):
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        cli.run_sweep(cli.build_run_config({}, {"out": str(tmp_path / "sweep.csv")}, "sweep"))
+        assert calls == {"is_unitary": 0, "retro_rotator": 0}
 
     def test_provenance_header(self, tmp_path):
         out = tmp_path / "sweep.csv"
@@ -428,10 +453,11 @@ class TestMain:
         assert "--phi-points" in capsys.readouterr().out
 
 
-# Fixed runs whose CSV bytes pin the outputs: fringe, erasure and wpd-verify
-# were recorded from the per-point model route, the sweeps from the pooled
-# sweep runner, wpd_verify_s3_negative from the fixed H / V branch split, and
-# montecarlo and wpd_verify_ball from the axis decomposition.
+# Fixed runs whose CSV bytes pin the outputs: fringe, erasure and the
+# wpd-verify estimates were recorded from the per-point model route,
+# wpd_verify_s3_negative from the fixed H / V branch split, and montecarlo and
+# wpd_verify_ball from the axis decomposition. The sweeps and the wpd-verify
+# truth columns come from the closed-form relative rotation.
 # Regenerate one with: python -m wpdlab.cli <argv> --out=tests/golden/<name>
 GOLDEN_RUNS = {
     "fringe_band.csv": ["fringe", "--theta1=17.5", "--stokes=0.3,-0.2,0.5",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import haar_unitary, random_pure_stokes, random_stokes
+from oracles import su2_decompose
 from wpdlab import duality as du, interferometer as itf, polarization as pol
 from wpdlab.errors import InvalidState, NonOrthonormalBasis, NonUnitary
 from wpdlab.linalg import SIGMA0, SIGMA2
@@ -17,10 +18,9 @@ def config(theta1, theta0=0.0):
 
 class TestSu2Decompose:
     def test_identity(self):
-        rot = du.su2_decompose(SIGMA0)
-        assert rot.e0 == pytest.approx(1.0, abs=1e-15)
-        assert np.max(np.abs(rot.e)) < 1e-15
-        assert rot.omega == pytest.approx(0.0, abs=1e-15)
+        rot = su2_decompose(SIGMA0)
+        assert rot.e0 == 1.0
+        assert np.array_equal(rot.e, np.zeros(3))
         assert np.array_equal(rot.axis, Y_AXIS)
 
     def test_relative_rotation_matches_published_parameters(self):
@@ -36,12 +36,14 @@ class TestSu2Decompose:
         rot = du.rotation_from_config(config(45.0))
         assert rot.e0 == pytest.approx(0.0, abs=1e-12)
         assert np.linalg.norm(rot.e) == pytest.approx(1.0, abs=1e-12)
+        # the su2 route gives e0 = -6.1e-17 here, with e flipped
+        assert rot.e0 >= 0.0
 
     def test_reconstruction_property(self, rng):
         from wpdlab import linalg
         for _ in range(200):
             u = haar_unitary(rng)
-            rot = du.su2_decompose(u)
+            rot = su2_decompose(u)
             recon = rot.e0 * SIGMA0 + 1j * (
                 rot.e[0] * linalg.SIGMA1 + rot.e[1] * SIGMA2 + rot.e[2] * linalg.SIGMA3)
             stripped = u / np.sqrt(np.linalg.det(u))
@@ -56,7 +58,7 @@ class TestSu2Decompose:
         for _ in range(50):
             u = haar_unitary(rng)
             s = random_stokes(rng)
-            a, b = du.su2_decompose(u), du.su2_decompose(-u)
+            a, b = su2_decompose(u), su2_decompose(-u)
             assert du.visibility_stokes(a, s) == pytest.approx(
                 du.visibility_stokes(b, s), abs=1e-12)
             assert du.d_general(a, s) == pytest.approx(du.d_general(b, s), abs=1e-12)
@@ -64,7 +66,7 @@ class TestSu2Decompose:
 
     def test_non_unitary_rejected(self):
         with pytest.raises(NonUnitary):
-            du.su2_decompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
+            su2_decompose(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestRelativeRotation:
@@ -88,15 +90,49 @@ class TestRelativeRotation:
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
+def _worst_oracle_gap(angle_pairs):
+    """Largest deviation of the closed form from the su2 route, on e0^2 and
+    e e^T (all a functional reads), over (theta0, theta1) pairs; every closed
+    form must keep e0 >= 0 and the s2 axis."""
+    got, want = [], []
+    for t0, t1 in angle_pairs:
+        cfg = config(float(t1), theta0=float(t0))
+        got.append(du.rotation_from_config(cfg))
+        want.append(su2_decompose(du.relative_rotation(cfg)))
+    assert all(rot.e0 >= 0.0 and np.array_equal(rot.axis, Y_AXIS) for rot in got)
+
+    def squares(rots):
+        e0 = np.array([rot.e0 for rot in rots])
+        e = np.array([rot.e for rot in rots])
+        return e0 * e0, e[:, :, None] * e[:, None, :]
+
+    (g0, gee), (w0, wee) = squares(got), squares(want)
+    return max(float(np.max(np.abs(g0 - w0))), float(np.max(np.abs(gee - wee))))
+
+
+class TestRotationFromConfig:
+    def test_matches_su2_route(self, rng):
+        thetas = np.linspace(-180.0, 180.0, 361)
+        pairs = [*rng.uniform(-180.0, 180.0, size=(20_000, 2))]
+        pairs += [(t0, t1) for t0 in (0.0, 22.5, -45.0) for t1 in thetas]
+        # theta0 + theta1 on the boundaries: no marking, V = 0, a full turn
+        pairs += [(t0, total - t0) for total in (0.0, 45.0, 90.0)
+                  for t0 in (0.0, 22.5, -45.0, 10.0, -33.3)]
+        assert _worst_oracle_gap(pairs) <= 1e-14
+
+    def test_matches_su2_route_at_large_angles(self, rng):
+        assert _worst_oracle_gap(rng.uniform(-1e4, 1e4, size=(2_000, 2))) <= 1e-12
+
+
 class TestStokesFunctionals:
     def test_visibility_unpolarized(self, rng):
         u = haar_unitary(rng)
-        rot = du.su2_decompose(u)
+        rot = su2_decompose(u)
         assert du.visibility_stokes(rot, [0, 0, 0]) == pytest.approx(abs(rot.e0), abs=1e-12)
 
     def test_visibility_on_axis_pure(self, rng):
         for _ in range(20):
-            rot = du.su2_decompose(haar_unitary(rng))
+            rot = su2_decompose(haar_unitary(rng))
             assert du.visibility_stokes(rot, rot.axis) == pytest.approx(1.0, abs=1e-12)
 
     def test_visibility_half_marking(self):
@@ -105,7 +141,7 @@ class TestStokesFunctionals:
             math.cos(math.pi / 4), abs=1e-10)
 
     def test_dc_zero_for_unpolarized(self, rng):
-        rot = du.su2_decompose(haar_unitary(rng))
+        rot = su2_decompose(haar_unitary(rng))
         assert du.dc_stokes(rot, [0, 0, 0]) == 0.0
 
     def test_dc_orthogonal_pure_states(self):
@@ -125,7 +161,7 @@ class TestStokesFunctionals:
 
     def test_d_on_axis_pure_is_zero(self, rng):
         for _ in range(20):
-            rot = du.su2_decompose(haar_unitary(rng))
+            rot = su2_decompose(haar_unitary(rng))
             assert du.d_general(rot, rot.axis) < 1e-7
 
     def test_d_half_marking(self):
@@ -196,7 +232,7 @@ class TestDecomposeForAxis:
         # the chord convention is for determinism only: every chord at the
         # same axis height yields the same weighted distinguishability
         for _ in range(20):
-            rot = du.su2_decompose(haar_unitary(rng))
+            rot = su2_decompose(haar_unitary(rng))
             s = random_stokes(rng, max_norm=0.95)
             want = du.d_general(rot, s)
             h = float(rot.axis @ s)
@@ -239,7 +275,7 @@ class TestDecompositionRoute:
 
     def test_equal_branch_distinguishability(self, rng):
         for _ in range(100):
-            rot = du.su2_decompose(haar_unitary(rng))
+            rot = su2_decompose(haar_unitary(rng))
             s = random_stokes(rng, max_norm=0.999)
             dec = du.decompose_for_axis(s, rot.axis)
             d_a = du.d_general(rot, dec.s_alpha)
@@ -396,7 +432,7 @@ class TestInvariants:
     def test_hidden_distinguishability_identity(self, rng):
         # D^2 = Dc^2 + (1 - s^2) e^2
         for _ in range(300):
-            rot = du.su2_decompose(haar_unitary(rng))
+            rot = su2_decompose(haar_unitary(rng))
             s = random_stokes(rng)
             lhs = du.d_general(rot, s) ** 2
             rhs = du.dc_stokes(rot, s) ** 2 + \
@@ -405,7 +441,7 @@ class TestInvariants:
 
     def test_dc_bounded_by_d(self, rng):
         for _ in range(300):
-            rot = du.su2_decompose(haar_unitary(rng))
+            rot = su2_decompose(haar_unitary(rng))
             s = random_stokes(rng)
             dc = du.dc_stokes(rot, s)
             d = du.d_general(rot, s)
