@@ -24,6 +24,9 @@ of arm 1. The relative rotation is therefore a turn about s2 that depends on
 theta0 + theta1 alone, and `rotation_from_config` writes its parameters in
 closed form: with a = 2 (theta0 + theta1) in radians, e0 = |cos a| and
 e = -sgn(cos a) sin a (0, 1, 0). No 2x2 matrix is built or decomposed.
+
+Inputs are validated once, in each public function; `_functionals` takes a
+Stokes vector that its caller has already validated and checks nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import interferometer, linalg, polarization
+from . import interferometer, polarization
 from .errors import InvalidState, NonOrthonormalBasis
 
 # Both arm rotators turn about s2, so every relative rotation does too.
@@ -68,8 +71,6 @@ class DualityReport:
     visibility: float
     d_conventional: float
     d_general: float
-    predictability: float
-    concurrence_we: float
     sum_vd: float
     sum_vdc: float
 
@@ -90,37 +91,37 @@ def rotation_from_config(cfg: interferometer.InterferometerConfig) -> RotationSp
     return RotationSpec(e0=abs(c), e=e, axis=ROTATION_AXIS.copy())
 
 
-def visibility_stokes(rot: RotationSpec, s) -> float:
-    s = polarization.as_stokes(s)
-    return float(np.sqrt(rot.e0**2 + float(rot.e @ s) ** 2))
-
-
-def dc_stokes(rot: RotationSpec, s) -> float:
-    """Conventional distinguishability sqrt(e^2 s^2 - (e.s)^2) = |e x s|.
-
-    The cross-product form is used because the direct difference cancels
-    catastrophically when e and s are parallel.
-    """
-    s = polarization.as_stokes(s)
-    return float(np.linalg.norm(np.cross(rot.e, s)))
-
-
-def d_general(rot: RotationSpec, s) -> float:
-    """Generalized distinguishability sqrt(e^2 - (e.s)^2), evaluated as
-    sqrt(|e x s|^2 + e^2 (1 - s^2)) to avoid cancellation."""
-    s = polarization.as_stokes(s)
+def _functionals(rot: RotationSpec, s: np.ndarray):
+    """(V, Dc, D) of a validated Stokes vector, from one cross product. Dc
+    is |e x s| and D is sqrt(|e x s|^2 + e^2 (1 - s^2)): the direct
+    differences of the module docstring cancel when e and s are parallel."""
+    v = float(np.sqrt(rot.e0**2 + float(rot.e @ s) ** 2))
     cross = np.cross(rot.e, s)
     cross2 = float(cross @ cross)
     e2 = float(rot.e @ rot.e)
-    return float(np.sqrt(cross2 + e2 * max(0.0, 1.0 - float(s @ s))))
+    d = float(np.sqrt(cross2 + e2 * max(0.0, 1.0 - float(s @ s))))
+    return v, float(np.sqrt(cross2)), d
+
+
+def visibility_stokes(rot: RotationSpec, s) -> float:
+    return _functionals(rot, polarization.as_stokes(s))[0]
+
+
+def dc_stokes(rot: RotationSpec, s) -> float:
+    """Conventional distinguishability |e x s| (see `_functionals`)."""
+    return _functionals(rot, polarization.as_stokes(s))[1]
+
+
+def d_general(rot: RotationSpec, s) -> float:
+    """Generalized distinguishability sqrt(e^2 - (e.s)^2) (see `_functionals`)."""
+    return _functionals(rot, polarization.as_stokes(s))[2]
 
 
 def dc_trace_distance(rho0, rho1) -> float:
     """Half the trace distance (1/2) Tr|rho0 - rho1|; equals half the
     Euclidean distance between the two Stokes vectors."""
-    rho0 = polarization.as_density(rho0)
-    rho1 = polarization.as_density(rho1)
-    return 0.5 * linalg.trace_norm_herm(rho0 - rho1)
+    diff = polarization.stokes_from_density(rho0) - polarization.stokes_from_density(rho1)
+    return 0.5 * float(np.linalg.norm(diff))
 
 
 def decompose_for_axis(s, axis) -> DecompositionResult:
@@ -134,7 +135,10 @@ def decompose_for_axis(s, axis) -> DecompositionResult:
     """
     s = polarization.as_stokes(s)
     n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
+    norm_n = float(np.linalg.norm(n)) if n.shape == (3,) else 0.0
+    if not (0.0 < norm_n < math.inf):  # also refuses a NaN component
+        raise InvalidState(f"rotation axis must be a finite nonzero 3-vector, got {axis!r}")
+    n = n / norm_n
     norm_s = float(np.linalg.norm(s))
     h = float(n @ s)
     if norm_s >= 1.0 - 1e-12:  # pure: beta is the mirror of s at the same height
@@ -145,15 +149,10 @@ def decompose_for_axis(s, axis) -> DecompositionResult:
     norm_perp = float(np.linalg.norm(perp))
     if norm_perp >= 1e-12:
         u = perp / norm_perp
-    else:
-        u = None
-        for fallback in (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])):
-            cand = fallback - float(n @ fallback) * n
-            if np.linalg.norm(cand) >= 1e-12:
-                u = cand / np.linalg.norm(cand)
-                break
-        if u is None:  # unreachable for a unit axis
-            raise InvalidState("no chord direction found")
+    else:  # a unit axis leaves at least one fallback a nonzero projection
+        fallbacks = (np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+        cands = [f - float(n @ f) * n for f in fallbacks]
+        u = next(c / np.linalg.norm(c) for c in cands if np.linalg.norm(c) >= 1e-12)
     s_alpha = h * n + radius * u
     s_beta = h * n - radius * u
     return DecompositionResult(s_alpha=s_alpha, s_beta=s_beta,
@@ -166,8 +165,8 @@ def d_via_decomposition(rot: RotationSpec, s) -> float:
     probability-weighted pure-state distinguishabilities of the axis-aligned
     decomposition. Equals `d_general` by construction of the decomposition."""
     dec = decompose_for_axis(s, rot.axis)
-    d_alpha = d_general(rot, dec.s_alpha)
-    d_beta = d_general(rot, dec.s_beta)
+    d_alpha = _functionals(rot, dec.s_alpha)[2]
+    d_beta = _functionals(rot, dec.s_beta)[2]
     return dec.p_alpha * d_alpha + dec.p_beta * d_beta
 
 
@@ -183,9 +182,17 @@ def likelihood(basis, rho0, rho1) -> float:
         raise NonOrthonormalBasis("measurement basis is not orthonormal")
     rho0 = polarization.as_density(rho0)
     rho1 = polarization.as_density(rho1)
-    p = [[float(np.real(w.conj() @ rho @ w)) for rho in (rho0, rho1)]
-         for w in (w_plus, w_minus)]
-    return 0.5 * (max(p[0]) + max(p[1]))
+    return float(_guess_likelihood((w_plus, w_minus), rho0, rho1))
+
+
+def _guess_likelihood(basis, rho0, rho1):
+    # the formula of `likelihood`, on inputs its caller has validated
+    w_plus, w_minus = basis
+    p0p = np.real(w_plus.conj() @ rho0 @ w_plus)
+    p1p = np.real(w_plus.conj() @ rho1 @ w_plus)
+    p0m = np.real(w_minus.conj() @ rho0 @ w_minus)
+    p1m = np.real(w_minus.conj() @ rho1 @ w_minus)
+    return 0.5 * (max(p0p, p1p) + max(p0m, p1m))
 
 
 def _basis_from_angles(polar, azim):
@@ -194,15 +201,6 @@ def _basis_from_angles(polar, azim):
     w_plus = np.array([np.cos(half), np.exp(1j * azim) * np.sin(half)])
     w_minus = np.array([-np.exp(-1j * azim) * np.sin(half), np.cos(half)])
     return w_plus, w_minus
-
-
-def _likelihood_angles(polar, azim, rho0, rho1):
-    w_plus, w_minus = _basis_from_angles(polar, azim)
-    p0p = np.real(w_plus.conj() @ rho0 @ w_plus)
-    p1p = np.real(w_plus.conj() @ rho1 @ w_plus)
-    p0m = np.real(w_minus.conj() @ rho0 @ w_minus)
-    p1m = np.real(w_minus.conj() @ rho1 @ w_minus)
-    return 0.5 * (max(p0p, p1p) + max(p0m, p1m))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -259,14 +257,14 @@ def max_likelihood_search(rho0, rho1, trials: int = 10_000, seed: int = 0):
     width = math.pi / 8.0
     for _ in range(4):
         best_polar, _ = _golden_max(
-            lambda t: _likelihood_angles(t, best_azim, rho0, rho1),
+            lambda t: _guess_likelihood(_basis_from_angles(t, best_azim), rho0, rho1),
             best_polar - width, best_polar + width)
         best_azim, _ = _golden_max(
-            lambda p: _likelihood_angles(best_polar, p, rho0, rho1),
+            lambda p: _guess_likelihood(_basis_from_angles(best_polar, p), rho0, rho1),
             best_azim - width, best_azim + width)
         width /= 8.0
-    l_best = _likelihood_angles(best_polar, best_azim, rho0, rho1)
-    return float(l_best), _basis_from_angles(best_polar, best_azim)
+    basis = _basis_from_angles(best_polar, best_azim)
+    return float(_guess_likelihood(basis, rho0, rho1)), basis
 
 
 def helstrom_bound(d: float) -> float:
@@ -284,16 +282,11 @@ def duality_report(cfg: interferometer.InterferometerConfig, s) -> DualityReport
     """
     s = polarization.as_stokes(s)
     rot = rotation_from_config(cfg)
-    v = visibility_stokes(rot, s)
-    dc = dc_stokes(rot, s)
-    d = d_general(rot, s)
-    c_we = float(np.sqrt(max(0.0, 1.0 - float(s @ s))))
+    v, dc, d = _functionals(rot, s)
     report = DualityReport(
         visibility=v,
         d_conventional=dc,
         d_general=d,
-        predictability=0.0,  # 50:50 beamsplitter: no a-priori path knowledge
-        concurrence_we=c_we,
         sum_vd=v * v + d * d,
         sum_vdc=v * v + dc * dc,
     )
@@ -315,7 +308,6 @@ def _check_report(report: DualityReport, rot: RotationSpec, s) -> None:
         raise InvalidState("decomposition route disagrees with D")
 
 
-CASE_LABELS = ("a", "b", "c", "d", "e", "f")
 _CASE_TOL = 1e-9
 
 

@@ -1,12 +1,12 @@
-"""Fixed-size complex matrix kernel (dimensions 2 and 4).
+"""Complex 2x2 matrix kernel.
 
-Everything in the interferometer model lives in C^2 (polarization, path) or
-C^4 (path x polarization), so this module only handles those two sizes and
-solves the 2x2 Hermitian eigenproblem in closed form instead of calling an
-iterative solver.
+Every matrix the package validates is a polarization (or path) operator in
+C^2, so this module handles that one size and solves the 2x2 Hermitian
+eigenproblem in closed form instead of calling an iterative solver.
 
-Joint basis order is |0H>, |0V>, |1H>, |1V>: the first tensor factor is the
-path qubit, the second the polarization qubit.
+The interferometer builds its path x polarization operators in C^4 from 2x2
+blocks, with joint basis order |0H>, |0V>, |1H>, |1V>: the first tensor
+factor is the path qubit, the second the polarization qubit.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionError, InvalidState
 
 # Absolute tolerance for hermitian/unitary checks: ~100x double epsilon
-# accumulated over products of <= 16-entry matrices.
+# accumulated over products of 2x2 matrices.
 TAG_TOL = 1e-12
 
 SIGMA0 = np.eye(2, dtype=complex)
@@ -31,13 +31,11 @@ KET_H = np.array([1.0, 0.0], dtype=complex)
 KET_V = np.array([0.0, 1.0], dtype=complex)
 
 
-def as_cmat(a, dim=None) -> np.ndarray:
-    """Validate and return `a` as a finite complex square matrix of size 2 or 4."""
+def as_cmat(a) -> np.ndarray:
+    """Validate and return `a` as a finite complex 2x2 matrix."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4):
-        raise DimensionError(f"expected a 2x2 or 4x4 matrix, got shape {m.shape}")
-    if dim is not None and m.shape[0] != dim:
-        raise DimensionError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
+    if m.shape != (2, 2):
+        raise DimensionError(f"expected a 2x2 matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise InvalidState("matrix entries must be finite (no NaN/inf)")
     return m
@@ -50,7 +48,7 @@ def is_hermitian(a) -> bool:
 
 def is_unitary(a) -> bool:
     m = as_cmat(a)
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0]))) <= TAG_TOL)
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(2))) <= TAG_TOL)
 
 
 class HermEig2(NamedTuple):
@@ -77,7 +75,7 @@ def herm_eig2(h) -> HermEig2:
     Uses the quadratic characteristic formula; no iteration. A degenerate
     spectrum returns the (|H>, |V>) basis by convention.
     """
-    h = as_cmat(h, 2)
+    h = as_cmat(h)
     if not is_hermitian(h):
         raise InvalidState("herm_eig2 requires a Hermitian matrix")
     a = h[0, 0].real
@@ -100,9 +98,3 @@ def herm_eig2(h) -> HermEig2:
     v1 = _fix_phase(v1 / np.linalg.norm(v1))
     v2 = _fix_phase(np.array([-np.conj(v1[1]), np.conj(v1[0])]))
     return HermEig2(values, np.column_stack([v1, v2]))
-
-
-def trace_norm_herm(h) -> float:
-    """Trace norm sum|lambda_i| of a 2x2 Hermitian matrix (closed form)."""
-    values, _ = herm_eig2(h)
-    return float(np.sum(np.abs(values)))

@@ -55,7 +55,7 @@ def stokes_from_density(rho) -> np.ndarray:
 def _checked_eig(rho):
     """Validate a polarization density matrix (Hermitian, trace 1, PSD) and
     return it with its eigensystem, from one eigensolve."""
-    rho = linalg.as_cmat(rho, 2)
+    rho = linalg.as_cmat(rho)
     if not linalg.is_hermitian(rho):
         raise InvalidState("density matrix must be Hermitian")
     if abs(np.trace(rho).real - 1.0) > 1e-12:

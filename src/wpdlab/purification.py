@@ -140,7 +140,7 @@ def triality_report(state: JointPureState) -> TrialityReport:
 
 
 def _as_unitary(m, what: str) -> np.ndarray:
-    u = linalg.as_cmat(m, 2)
+    u = linalg.as_cmat(m)
     if not linalg.is_unitary(u):
         raise NonUnitary(f"{what} must be unitary")
     return u

@@ -45,7 +45,7 @@ def su2_decompose(u) -> duality.RotationSpec:
     functional depends only on e0^2 and the dyad e e^T, so the branch is
     observationally inert. A trivial rotation keeps the axis (0, 1, 0).
     """
-    u = linalg.as_cmat(u, 2)
+    u = linalg.as_cmat(u)
     if not linalg.is_unitary(u):
         raise NonUnitary("su2_decompose requires a unitary matrix")
     u = u / np.sqrt(np.linalg.det(u))
@@ -100,18 +100,29 @@ def pi_d_pure(phi0, phi1):
 def tensor2x2(a, b) -> np.ndarray:
     """Kronecker product C^2 x C^2 -> C^4 with the joint basis order of
     `linalg`: the result is indexed |0H>, |0V>, |1H>, |1V>."""
-    return np.kron(linalg.as_cmat(a, 2), linalg.as_cmat(b, 2))
+    return np.kron(linalg.as_cmat(a), linalg.as_cmat(b))
 
 
 def partial_trace(m, keep) -> np.ndarray:
     """Trace a 4x4 operator down to 2x2, keeping the first (0/"first") or
     the second (1/"second") factor of `tensor2x2`'s basis order."""
-    m = linalg.as_cmat(m, 4).reshape(2, 2, 2, 2)
+    m = np.asarray(m, dtype=complex)
+    if m.shape != (4, 4):
+        raise DimensionError(f"expected a 4x4 matrix, got shape {m.shape}")
+    m = m.reshape(2, 2, 2, 2)
     if keep in (0, "first"):
         return np.einsum("ikjk->ij", m)
     if keep in (1, "second"):
         return np.einsum("kikj->ij", m)
     raise DimensionError(f"keep must be 0/'first' or 1/'second', got {keep!r}")
+
+
+def trace_norm_herm(h) -> float:
+    """Trace norm sum |lambda_i| of a 2x2 Hermitian matrix from the
+    eigenvalues of `linalg.herm_eig2`; half the trace norm of rho0 - rho1 is
+    what `duality.dc_trace_distance` takes as half the Stokes distance."""
+    values, _ = linalg.herm_eig2(h)
+    return float(np.sum(np.abs(values)))
 
 
 def _branch_eigvectors(phi0, phi1):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from oracles import csv_line, range_values
-from wpdlab import cli, duality, interferometer, linalg, montecarlo
+from wpdlab import cli, duality, interferometer, linalg, montecarlo, polarization
 from wpdlab.errors import ConfigError, GateFailure, InvalidState
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -191,6 +191,20 @@ class TestSweep:
             monkeypatch.setattr(module, name, counted)
         cli.run_sweep(cli.build_run_config({}, {"out": str(tmp_path / "sweep.csv")}, "sweep"))
         assert calls == {"is_unitary": 0, "retro_rotator": 0}
+
+    def test_one_validation_pass_per_row(self, tmp_path, monkeypatch):
+        # the report, the decomposition and the case label validate s once each
+        cfg = cli.build_run_config({}, {"out": str(tmp_path / "sweep.csv")}, "sweep")
+        calls = []
+
+        def counted(s, _fn=polarization.as_stokes):
+            calls.append(1)
+            return _fn(s)
+        monkeypatch.setattr(polarization, "as_stokes", counted)
+        cli.run_sweep(cfg)
+        _, rows = read_rows(tmp_path / "sweep.csv")
+        assert len(rows) == 46
+        assert len(calls) <= 3 * len(rows)
 
     def test_provenance_header(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import haar_unitary, random_pure_stokes, random_stokes
-from oracles import su2_decompose
+from oracles import su2_decompose, trace_norm_herm
 from wpdlab import duality as du, interferometer as itf, polarization as pol
 from wpdlab.errors import InvalidState, NonOrthonormalBasis, NonUnitary
 from wpdlab.linalg import SIGMA0, SIGMA2
@@ -176,6 +177,18 @@ class TestStokesFunctionals:
                                        pol.density_from_stokes(s1))
             assert got == pytest.approx(0.5 * np.linalg.norm(s0 - s1), abs=1e-12)
 
+    def test_trace_distance_matches_eigenvalue_oracle(self, rng):
+        mixed = [(random_stokes(rng), random_stokes(rng)) for _ in range(1_000)]
+        pure = [(random_pure_stokes(rng), random_pure_stokes(rng)) for _ in range(600)]
+        equal = [(s, s) for s in (random_stokes(rng) for _ in range(200))]
+        equal += [(s, s) for s in (random_pure_stokes(rng) for _ in range(200))]
+        worst = 0.0
+        for s0, s1 in mixed + pure + equal:
+            rho0, rho1 = pol.density_from_stokes(s0), pol.density_from_stokes(s1)
+            want = 0.5 * trace_norm_herm(rho0 - rho1)
+            worst = max(worst, abs(du.dc_trace_distance(rho0, rho1) - want))
+        assert worst <= 1e-15
+
 
 class TestDecomposeForAxis:
     def test_unpolarized_hv_split(self):
@@ -227,6 +240,13 @@ class TestDecomposeForAxis:
     def test_unphysical_rejected(self):
         with pytest.raises(InvalidState):
             du.decompose_for_axis([1.2, 0, 0], Y_AXIS)
+
+    @pytest.mark.parametrize("axis", [[0, 0, 0], [0, np.nan, 0], [1, 0]])
+    def test_bad_axis_rejected(self, axis):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidState, match="axis"):
+                du.decompose_for_axis([0.1, 0.2, 0.3], axis)
 
     def test_any_equal_height_chord_gives_same_d(self, rng):
         # the chord convention is for determinism only: every chord at the
@@ -395,13 +415,20 @@ class TestDualityReport:
         assert report.sum_vd == pytest.approx(1.0, abs=1e-12)
         assert report.sum_vdc == pytest.approx(1.0, abs=1e-12)
 
-    def test_predictability_zero(self, rng):
-        report = du.duality_report(config(rng.uniform(0, 45)), random_stokes(rng))
-        assert report.predictability == 0.0
-
-    def test_concurrence_we(self):
-        report = du.duality_report(config(10.0), [0, 0, 0.6])
-        assert report.concurrence_we == pytest.approx(0.8, abs=1e-12)
+    def test_matches_public_functionals(self, rng):
+        n = 2_000
+        states = [random_stokes(rng) for _ in range(n // 2)]
+        states += [random_pure_stokes(rng) for _ in range(n // 4)]
+        states += [np.zeros(3)] * (n // 8)
+        states += [np.array([0.0, y, 0.0]) for y in rng.uniform(-1.0, 1.0, size=n // 8)]
+        angles = rng.uniform(-90.0, 90.0, size=(n, 2))
+        for (t0, t1), s in zip(angles, states):
+            cfg = config(float(t1), theta0=float(t0))
+            report = du.duality_report(cfg, s)
+            rot = du.rotation_from_config(cfg)
+            assert report.visibility == du.visibility_stokes(rot, s)
+            assert report.d_conventional == du.dc_stokes(rot, s)
+            assert report.d_general == du.d_general(rot, s)
 
 
 class TestInvariants:

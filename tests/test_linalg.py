@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_hermitian
-from oracles import partial_trace, tensor2x2
+from oracles import partial_trace, tensor2x2, trace_norm_herm
 from wpdlab import interferometer, linalg
 from wpdlab.errors import DimensionError, InvalidState
 from wpdlab.linalg import SIGMA0, SIGMA1, SIGMA2, SIGMA3
@@ -23,11 +23,13 @@ class TestPauliAlgebra:
 
     def test_wrong_size_rejected(self):
         with pytest.raises(DimensionError):
-            linalg.as_cmat(np.eye(4), 2)
+            linalg.as_cmat(np.eye(4))
         with pytest.raises(DimensionError):
             linalg.as_cmat(np.eye(3))
         with pytest.raises(DimensionError):
             tensor2x2(SIGMA0, np.eye(4))
+        with pytest.raises(DimensionError):
+            partial_trace(SIGMA0, keep=0)
 
     def test_nan_rejected(self):
         bad = SIGMA0.copy()
@@ -126,7 +128,7 @@ class TestHermEig2:
         diff = np.diag([1.0, 0.0]) - np.diag([0.0, 1.0])
         values, _ = linalg.herm_eig2(diff.astype(complex))
         assert np.array_equal(values, [1.0, -1.0])
-        assert abs(0.5 * linalg.trace_norm_herm(diff) - 1.0) < 1e-15
+        assert abs(0.5 * trace_norm_herm(diff) - 1.0) < 1e-15
 
     def test_reconstruction_1000_random(self, rng):
         worst = 0.0
@@ -168,23 +170,23 @@ class TestHermEig2:
 
 class TestTraceNorm:
     def test_sigma3(self):
-        assert linalg.trace_norm_herm(SIGMA3) == 2.0
+        assert trace_norm_herm(SIGMA3) == 2.0
 
     def test_zero(self):
-        assert linalg.trace_norm_herm(np.zeros((2, 2))) == 0.0
+        assert trace_norm_herm(np.zeros((2, 2))) == 0.0
 
     def test_traceless_determinant_identity(self, rng):
         from conftest import random_stokes
         for _ in range(100):
             a = random_stokes(rng)
             h = a[0] * SIGMA1 + a[1] * SIGMA2 + a[2] * SIGMA3
-            assert abs(linalg.trace_norm_herm(h) - 2 * np.sqrt(-np.linalg.det(h).real)) < 1e-12
+            assert abs(trace_norm_herm(h) - 2 * np.sqrt(-np.linalg.det(h).real)) < 1e-12
 
     def test_equals_eigenvalue_sum(self, rng):
         for _ in range(100):
             h = random_hermitian(rng)
             values, _ = linalg.herm_eig2(h)
-            assert abs(linalg.trace_norm_herm(h) - np.sum(np.abs(values))) < 1e-12
+            assert abs(trace_norm_herm(h) - np.sum(np.abs(values))) < 1e-12
 
     def test_stokes_distance(self, rng):
         # trace norm of rho0 - rho1 equals |s0 - s1|
@@ -194,7 +196,7 @@ class TestTraceNorm:
             s0, s1 = random_stokes(rng), random_stokes(rng)
             rho0 = polarization.density_from_stokes(s0)
             rho1 = polarization.density_from_stokes(s1)
-            assert abs(linalg.trace_norm_herm(rho0 - rho1)
+            assert abs(trace_norm_herm(rho0 - rho1)
                        - np.linalg.norm(s0 - s1)) < 1e-12
 
 
