@@ -163,7 +163,9 @@ class TestSweep:
         assert {row["case"] for row in rows} == {"a", "d"}
 
     @pytest.mark.parametrize("x, theta1", [(0.42542975577943, "0.1:45.1:0.25"),
-                                           (-0.15432405043302239, "0.01:45.01:0.25")])
+                                           (-0.15432405043302239, "0.01:45.01:0.25"),
+                                           (-0.22445094059177928, "0.05:45.05:0.25"),
+                                           (-0.6371567071734554, "0.23:45.23:0.25")])
     def test_rotation_axis_source_closed_forms(self, tmp_path, x, theta1):
         # On s = (0, x, 0) the Dc term |s|^2 - s2^2 is zero exactly, but the
         # form sqrt(s.s - np.float64(s2)**2) reads about 1e-9 for these x,
@@ -300,6 +302,14 @@ class TestTomographyRunner:
             truth = float(row["truth"])
             width = high - low
             assert low - width <= truth <= high + width
+
+    def test_resamples_cap_runs(self, tmp_path):
+        # the whole bootstrap is one stacked pass, so the cap costs a fraction of a second
+        out = tmp_path / "tomo.csv"
+        argv = ["tomography", f"--resamples={cli.MAX_GRID_POINTS}", "--stokes=0.2,0,0.1"]
+        assert cli.main([*argv, f"--out={out}"]) == 0
+        fid = read_rows(out)[1][-1]
+        assert float(fid["ci_low"]) <= float(fid["estimate"]) <= float(fid["ci_high"])
 
 
 class TestWriteCsv:
@@ -496,6 +506,11 @@ GOLDEN_RUNS = {
     "wpd_verify_ball.csv": ["wpd-verify", "--stokes=0.3,-0.4,0.5",
                             "--theta1=0,15,30,45", "--photons=5000",
                             "--resamples=100", "--seed=3"],
+    "tomography.csv": ["tomography", "--stokes=0.3,-0.2,0.1", "--photons=100000",
+                       "--seed=5"],
+    # a pure source: most resamples leave the Bloch ball and are rescaled
+    "tomography_pure.csv": ["tomography", "--stokes=0,0,1", "--photons=20000",
+                            "--seed=5"],
 }
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_stokes
 from oracles import estimate_likelihood
-from wpdlab import duality as du, interferometer as itf, montecarlo as mc
+from wpdlab import duality as du, interferometer as itf, linalg, montecarlo as mc
 from wpdlab import polarization as pol
 from wpdlab.errors import EmptyCounts, InvalidState
 
@@ -261,6 +261,53 @@ class TestTomography:
         est = run.fidelity_unpolarized
         width = est.ci_high - est.ci_low
         assert est.ci_low - width <= truth <= est.ci_high + width
+
+    def test_stacked_fidelity_is_the_scalar_chain_bit_for_bit(self):
+        # resamples of 40 sources at 1e3-1e6 photons, every fourth one pure so
+        # that its resamples leave the Bloch ball and are rescaled
+        def chain(s):
+            rho = pol.density_from_stokes(pol.clip_stokes(s))
+            return pol.fidelity(rho, UNPOLARIZED)
+
+        rng = np.random.default_rng(25)
+        for k in range(40):
+            s = random_stokes(rng)
+            if k % 4 == 0:
+                s = s / np.linalg.norm(s)
+            photons = int(10 ** rng.uniform(3, 6))
+            s_hat = 2.0 * rng.binomial(photons, (1 + s) / 2) / photons - 1.0
+            resamp = rng.binomial(photons, np.clip((1 + s_hat) / 2, 0, 1), size=(100, 3))
+            stack = 2.0 * resamp / photons - 1.0
+            want = np.array([chain(sv) for sv in stack])
+            assert np.array_equal(mc._fidelity_unpolarized(stack).view(np.int64),
+                                  want.view(np.int64))
+            point = mc._fidelity_unpolarized(s_hat[None])
+            assert point.view(np.int64)[0] == np.float64(chain(s_hat)).view(np.int64)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_rejected(self, bad):
+        stack = np.zeros((5, 3))
+        stack[3, 1] = bad
+        with pytest.raises(InvalidState, match="must be finite"):
+            mc._fidelity_unpolarized(stack)
+
+    def test_psd_sign_checked_per_stack(self, monkeypatch):
+        # smallest eigenvalue of rho is (1 - |s|) / 2 = 0.05 here
+        monkeypatch.setattr(pol, "PSD_TOL", -0.1)
+        with pytest.raises(InvalidState, match="min eigenvalue 0.0499"):
+            mc._fidelity_unpolarized(np.array([[0.0, 0.0, 0.0], [0.9, 0.0, 0.0]]))
+
+    def test_eigensolves_do_not_grow_with_resamples(self, monkeypatch):
+        calls = []
+        herm_eig2 = linalg.herm_eig2
+        monkeypatch.setattr(linalg, "herm_eig2", lambda h: calls.append(1) or herm_eig2(h))
+        counts = []
+        for resamples in (50, 2000):
+            calls.clear()
+            mc.tomography(pol.density_from_stokes([0.3, -0.2, 0.1]), 10**4,
+                          mc.make_rng(3), resamples=resamples)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
 
 
 class TestBranchDecomposition:
