@@ -8,9 +8,10 @@ recording the package version, seed, RNG algorithm and a hash of the
 effective configuration, and contains no timestamps, so identical seeds give
 byte-identical files.
 
-Exit codes: 0 all gates passed, 2 configuration error, 3 gate failure,
-1 any other error (a machine-readable ``error: category=...`` line goes to
-stderr).
+Every gate is one rule, ``|residual| <= bound`` per row, where a NaN fails;
+the first failing row is reported. Exit codes: 0 all gates passed,
+2 configuration error, 3 gate failure, 1 any other error (a machine-readable
+``error: category=...`` line goes to stderr).
 """
 
 from __future__ import annotations
@@ -111,7 +112,10 @@ def parse_scalar_or_range(text: str, what: str) -> tuple:
             if len(values) > MAX_GRID_POINTS:
                 raise ValueError(too_long)
             return values
-        return tuple(_finite(p) for p in text.split(","))
+        parts = text.split(",")
+        if len(parts) > MAX_GRID_POINTS:
+            raise ValueError(f"list takes at most {MAX_GRID_POINTS} values")
+        return tuple(_finite(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"bad {what} {text!r}: {exc}") from None
 
@@ -145,7 +149,8 @@ SETTINGS: Dict[str, Setting] = {
     "theta0": Setting("theta0_deg", _finite, "QWP0 fast-axis angle (deg)"),
     "theta1": Setting("theta1_deg", lambda text: parse_scalar_or_range(text, "theta1"),
                       "QWP1 angle: scalar, start:stop:step, or comma list (deg)"),
-    "stokes": Setting("stokes", parse_stokes_list, "Stokes vector(s) 's1,s2,s3;...'"),
+    "stokes": Setting("stokes", parse_stokes_list,
+                      "Stokes vector 's1,s2,s3' (sweep only: several, ';'-separated)"),
     "photons": Setting("photons", int, "photons per setting / grid point"),
     "seed": Setting("seed", int, "master RNG seed"),
     "out": Setting("out", str, "output CSV path"),
@@ -201,6 +206,8 @@ def build_run_config(file_values: Dict[str, str], flag_values: Dict[str, object]
                        for key, text in merged.items()})
     if not 1 <= cfg.photons <= _MAX_PHOTONS:
         raise ConfigError(f"photons must lie in [1, {_MAX_PHOTONS}]")
+    if len(cfg.stokes) > 1 and mode not in ("sweep", "plot"):
+        raise ConfigError(f"{mode} takes one source; several stokes triples are for sweep only")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
     if not 1 <= cfg.resamples <= MAX_GRID_POINTS:
@@ -267,6 +274,14 @@ def _write_output(path, text: str) -> None:
 # ---------------------------------------------------------------------------
 # runners
 
+
+def _gate(residual, bound, describe: Callable[[int], str]) -> None:
+    """Raise GateFailure(describe(k)) at the first row k failing |residual| <= bound; NaN fails."""
+    off = ~(np.abs(residual) <= bound)
+    if off.any():
+        raise GateFailure(describe(int(off.argmax())))
+
+
 SWEEP_COLUMNS = ("theta0_deg", "theta1_deg", "s1", "s2", "s3", "case",
                  "V", "Dc", "D", "V2_plus_D2", "V2_plus_Dc2")
 
@@ -310,9 +325,8 @@ def run_fringe(cfg: RunConfig) -> str:
     itf_cfg = cfg.interferometer_config(theta1)
     columns, rows = interferometer.fringe_scan(
         itf_cfg, rho, cfg.spectral(), _default_delta_grid(cfg))
-    off = ~(np.abs(rows[:, 2] + rows[:, 3] - 1.0) <= 1e-12 * np.maximum(1.0, np.abs(rows[:, 2])))
-    if off.any():
-        raise GateFailure(f"port probabilities do not sum to 1 at delta={rows[off.argmax(), 0]}")
+    _gate(rows[:, 2] + rows[:, 3] - 1.0, 1e-12 * np.maximum(1.0, np.abs(rows[:, 2])),
+          lambda k: f"port probabilities do not sum to 1 at delta={rows[k, 0]}")
     return write_csv(cfg.out, cfg, columns, rows.tolist())
 
 
@@ -353,8 +367,8 @@ def run_erasure(cfg: RunConfig) -> str:
             if name != "apd10" and vis > 1e-12:
                 rel = math.remainder(phase - ref_phase, 2 * math.pi)
             summary_rows.append((t1, name, vis, phase, rel))
-        if not (abs(rows[:, 4].sum() + rows[:, 5].sum() - rows[:, 3].sum()) <= 1e-9):
-            raise GateFailure("analyzer outputs do not sum to the port intensity")
+        _gate(rows[:, 4].sum() + rows[:, 5].sum() - rows[:, 3].sum(), 1e-9,
+              lambda k: "analyzer outputs do not sum to the port intensity")
     text = write_csv(cfg.out, cfg, ERASURE_COLUMNS, table_rows)
     if cfg.out:
         summary_path = Path(cfg.out).with_suffix(".summary.csv")
@@ -402,12 +416,10 @@ def run_wpd_verify(cfg: RunConfig) -> str:
                 vd_sum, vd_sigma, cfg.seed, montecarlo.RNG_ALGORITHM)
 
     rows = [evaluate(idx, t1) for idx, t1 in enumerate(thetas)]
-    for row in rows:
-        vd_sum, vd_sigma = row[10], row[11]
-        if not (abs(vd_sum - 1.0) <= max(3.0 * vd_sigma, 1e-9)):  # max(nan, x) is nan
-            raise GateFailure(
-                f"WPD closure failed at theta1={row[1]}: "
-                f"V2+D2={vd_sum} sigma={vd_sigma}")
+    vd_sum, vd_sigma = np.array([row[10:12] for row in rows]).T
+    _gate(vd_sum - 1.0, np.maximum(3.0 * vd_sigma, 1e-9),  # np.maximum keeps a NaN
+          lambda k: f"WPD closure failed at theta1={rows[k][1]}: "
+                    f"V2+D2={rows[k][10]} sigma={rows[k][11]}")
     return write_csv(cfg.out, cfg, WPD_VERIFY_COLUMNS, rows)
 
 
@@ -431,8 +443,8 @@ def run_montecarlo(cfg: RunConfig) -> str:
         for branch in ("alpha", "beta"):
             record = d_run.branch_records[branch]
             like = d_run.branch_likelihoods[branch]
-            if not (0.5 - 1e-9 <= like.value <= 1.0 + 1e-9):
-                raise GateFailure(f"likelihood out of range at theta1={t1}")
+            _gate(like.value - 0.75, 0.25 + 1e-9,
+                  lambda k: f"likelihood out of range at theta1={t1}")
             n = record.counts
             rows.append((setting_id, t1, branch,
                          int(n[0, 0]), int(n[0, 1]), int(n[1, 0]), int(n[1, 1]),
@@ -457,8 +469,8 @@ def run_tomography(cfg: RunConfig) -> str:
     rho = polarization.density_from_stokes(s_true)
     rng = montecarlo.make_rng(cfg.seed, 0)
     run = montecarlo.tomography(rho, cfg.photons, rng, resamples=cfg.resamples)
-    if not (np.linalg.norm(polarization.clip_stokes(run.stokes_estimate)) <= 1.0 + 1e-12):
-        raise GateFailure("clipped Stokes estimate left the Bloch ball")
+    _gate(np.linalg.norm(polarization.clip_stokes(run.stokes_estimate)), 1.0 + 1e-12,
+          lambda k: "clipped Stokes estimate left the Bloch ball")
     rows = []
     for k, name in enumerate(("s1", "s2", "s3")):
         n_plus = int(run.counts_plus[k])

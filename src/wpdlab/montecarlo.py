@@ -33,6 +33,8 @@ CI_LEVEL = 0.95
 # is one ulp off, which would change the printed vd_sum_sigma
 _CI_Z = 1.959963984540054
 
+_UNPOLARIZED = 0.5 * linalg.SIGMA0  # I/2, a valid density matrix as it stands
+
 
 def make_rng(seed: int, stream_id: int = 0) -> np.random.Generator:
     return np.random.Generator(
@@ -253,8 +255,7 @@ def _fidelity_unpolarized(s) -> np.ndarray:
         raise InvalidState("Stokes components must be finite")
     norm = np.sqrt(s[:, None, :] @ s[:, :, None])[:, 0]
     s = s / np.where(norm > 1.0, norm, 1.0)
-    tau = polarization.as_density(0.5 * linalg.SIGMA0)
-    rho = np.repeat(tau[None], len(s), axis=0)  # density_from_stokes starts at I/2
+    rho = np.repeat(_UNPOLARIZED[None], len(s), axis=0)  # density_from_stokes starts at I/2
     for k, sigma in enumerate(linalg.PAULI):
         rho += 0.5 * s[:, k, None, None] * sigma
     a, d, b = rho[:, 0, 0].real, rho[:, 1, 1].real, rho[:, 0, 1]
@@ -262,8 +263,8 @@ def _fidelity_unpolarized(s) -> np.ndarray:
     if (np.any(np.sqrt(s[:, None, :] @ s[:, :, None]) > 1.0 + 1e-12)
             or np.any(low < -polarization.PSD_TOL)):
         raise InvalidState(f"unphysical state in the stack, min eigenvalue {low.min()}")
-    cross = np.trace(rho @ tau, axis1=1, axis2=2).real
-    dets = np.linalg.det(rho).real * np.linalg.det(tau).real
+    cross = np.trace(rho @ _UNPOLARIZED, axis1=1, axis2=2).real
+    dets = np.linalg.det(rho).real * np.linalg.det(_UNPOLARIZED).real
     return cross + 2.0 * np.sqrt(np.maximum(0.0, dets))
 
 
@@ -285,8 +286,7 @@ def tomography(rho_source, photons_per_basis: int, rng: np.random.Generator,
     """
     if photons_per_basis < 1:
         raise InvalidState("need at least one photon per basis")
-    rho = polarization.as_density(rho_source)
-    s_true = polarization.stokes_from_density(rho)
+    s_true = polarization.stokes_from_density(rho_source)
     p_plus = (1.0 + s_true) / 2.0
     n_plus = rng.binomial(photons_per_basis, p_plus)
     s_hat = 2.0 * n_plus / photons_per_basis - 1.0

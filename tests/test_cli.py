@@ -48,6 +48,10 @@ class TestParsing:
         for text in (f"0:{cap}:1", f"0:{cap + 0.1}:1"):
             with pytest.raises(ConfigError, match="at most"):
                 cli.parse_scalar_or_range(text, "theta1")
+        # a comma list meets the same cap
+        assert len(cli.parse_scalar_or_range(",".join(["1"] * cap), "theta1")) == cap
+        with pytest.raises(ConfigError, match="at most"):
+            cli.parse_scalar_or_range(",".join(["1"] * (cap + 1)), "theta1")
 
     def test_range_matches_generator(self, rng):
         # the array build is bit-exact against the value-by-value generator
@@ -633,6 +637,79 @@ def _cli_gate(mode, target, patch):
 def test_gates_fail_on_nan(monkeypatch, run, error, message):
     with pytest.raises(error, match=message):
         run(monkeypatch)
+
+
+def _off_rows(fn, seen):
+    # port sums off at rows 2 and 5: the gate names the first of them
+    def wrapped(*args, **kwargs):
+        columns, rows = fn(*args, **kwargs)
+        rows[[2, 5], 3] += 0.5
+        seen.append(rows[2, 0])
+        return columns, rows
+    return wrapped
+
+
+def test_fringe_gate_names_first_off_row(monkeypatch):
+    seen = []
+    run = _cli_gate("fringe", (interferometer, "fringe_scan"), lambda fn: _off_rows(fn, seen))
+    with pytest.raises(GateFailure) as info:
+        run(monkeypatch)
+    assert str(info.value) == f"port probabilities do not sum to 1 at delta={seen[0]}"
+
+
+def _recorded(fn, runs, shift_rows=()):
+    # keeps each result; the V estimates of `shift_rows` move 0.5 off
+    def wrapped(*args, **kwargs):
+        est = fn(*args, **kwargs)
+        if len(runs) in shift_rows:
+            est = SimpleNamespace(value=est.value + 0.5, ci_low=est.ci_low,
+                                  ci_high=est.ci_high + 0.5, sigma=est.sigma)
+        runs.append(est)
+        return est
+    return wrapped
+
+
+def test_wpd_verify_gate_names_first_failing_row(monkeypatch):
+    # the closure fails at the 2nd and 4th theta1 rows; the 2nd is reported
+    v_runs, d_runs = [], []
+    monkeypatch.setattr(montecarlo, "estimate_distinguishability_decomposed",
+                        _recorded(montecarlo.estimate_distinguishability_decomposed, d_runs))
+    run = _cli_gate("wpd-verify", (montecarlo, "estimate_visibility_mc"),
+                    lambda fn: _recorded(fn, v_runs, shift_rows=(1, 3)))
+    with pytest.raises(GateFailure) as info:
+        run(monkeypatch)
+    v, d = v_runs[1], d_runs[1].estimate
+    vd_sum = v.value**2 + d.value**2
+    vd_sigma = math.hypot(2 * v.value * v.sigma, 2 * d.value * d.sigma)
+    theta1 = cli.DEFAULT_VERIFY_THETAS[1]
+    assert str(info.value) == (f"WPD closure failed at theta1={theta1}: "
+                               f"V2+D2={vd_sum} sigma={vd_sigma}")
+
+
+def test_tomography_op_makes_three_eigensolves(monkeypatch, tmp_path):
+    # one validates the source and two the truth fidelity (rho and I/2); the
+    # tomography itself validates neither again
+    calls = []
+    herm_eig2 = linalg.herm_eig2
+    monkeypatch.setattr(linalg, "herm_eig2", lambda h: calls.append(1) or herm_eig2(h))
+    argv = ["tomography", "--stokes=0.3,-0.2,0.1", "--photons=10000",
+            f"--out={tmp_path / 'x.csv'}"]
+    assert cli.main(argv) == 0
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("mode", ["fringe", "erasure", "wpd-verify", "montecarlo", "tomography"])
+def test_one_source_modes_refuse_extra_sources(tmp_path, capsys, mode):
+    argv = [mode, "--stokes=0,0,0.3;0.5,0,0", "--photons=100", f"--out={tmp_path / 'x.csv'}"]
+    assert cli.main(argv) == 2
+    assert (f"error: category=config: {mode} takes one source; several stokes triples "
+            "are for sweep only") in capsys.readouterr().err
+
+
+def test_plot_ignores_extra_sources(tmp_path):
+    argv = ["plot", "--stokes=0,0,0.3;0.5,0,0", f"--table={GOLDEN_DIR / 'sweep.csv'}",
+            f"--out={tmp_path / 'sweep.plot.py'}"]
+    assert cli.main(argv) == 0
 
 
 def test_photons_beyond_int64_rejected(tmp_path, capsys):
