@@ -208,6 +208,8 @@ def build_run_config(file_values: Dict[str, str], flag_values: Dict[str, object]
         raise ConfigError(f"photons must lie in [1, {_MAX_PHOTONS}]")
     if len(cfg.stokes) > 1 and mode not in ("sweep", "plot"):
         raise ConfigError(f"{mode} takes one source; several stokes triples are for sweep only")
+    if len(cfg.theta1_deg) > 1 and mode == "fringe":
+        raise ConfigError(f"fringe takes one theta1 value, got {len(cfg.theta1_deg)}")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
     if not 1 <= cfg.resamples <= MAX_GRID_POINTS:

@@ -173,66 +173,45 @@ def d_via_decomposition(rot: RotationSpec, s) -> float:
 def likelihood(basis, rho0, rho1) -> float:
     """Likelihood of the which-way guess for a projective basis (w+, w-):
     (1/2) [max(p0+, p1+) + max(p0-, p1-)], between 1/2 and 1."""
-    w_plus, w_minus = (np.asarray(w, dtype=complex) for w in basis)
-    gram = np.array([
-        [w_plus.conj() @ w_plus, w_plus.conj() @ w_minus],
-        [w_minus.conj() @ w_plus, w_minus.conj() @ w_minus],
-    ])
-    if np.max(np.abs(gram - np.eye(2))) > 1e-10:
+    w = np.array(basis, dtype=complex)  # rows w+ and w-
+    if np.max(np.abs(w.conj() @ w.T - np.eye(2))) > 1e-10:
         raise NonOrthonormalBasis("measurement basis is not orthonormal")
     rho0 = polarization.as_density(rho0)
     rho1 = polarization.as_density(rho1)
-    return float(_guess_likelihood((w_plus, w_minus), rho0, rho1))
+    return float(_guess_likelihood(w, rho0, rho1))
 
 
 def _guess_likelihood(basis, rho0, rho1):
-    # the formula of `likelihood`, on inputs its caller has validated
-    w_plus, w_minus = basis
-    p0p = np.real(w_plus.conj() @ rho0 @ w_plus)
-    p1p = np.real(w_plus.conj() @ rho1 @ w_plus)
-    p0m = np.real(w_minus.conj() @ rho0 @ w_minus)
-    p1m = np.real(w_minus.conj() @ rho1 @ w_minus)
-    return 0.5 * (max(p0p, p1p) + max(p0m, p1m))
+    """The formula of `likelihood` over bases stacked on the leading axes of
+    (w+, w-), on inputs its caller has validated."""
+    p0p, p1p, p0m, p1m = (np.einsum("...i,ij,...j->...", w.conj(), rho, w).real
+                          for w in basis for rho in (rho0, rho1))
+    return 0.5 * (np.maximum(p0p, p1p) + np.maximum(p0m, p1m))
 
 
 def _basis_from_angles(polar, azim):
-    """Orthonormal qubit basis whose Bloch axis has the given spherical angles."""
-    half = polar / 2.0
-    w_plus = np.array([np.cos(half), np.exp(1j * azim) * np.sin(half)])
-    w_minus = np.array([-np.exp(-1j * azim) * np.sin(half), np.cos(half)])
+    """Orthonormal qubit bases whose Bloch axes have the given spherical
+    angles (scalars or equal-shape arrays); (w+, w-), each (..., 2)."""
+    half = np.asarray(polar) / 2.0
+    phase = np.exp(1j * np.asarray(azim))
+    w_plus = np.stack([np.cos(half), phase * np.sin(half)], axis=-1)
+    w_minus = np.stack([-phase.conj() * np.sin(half), np.cos(half)], axis=-1)
     return w_plus, w_minus
-
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_max(fun, lo, hi, iters=60):
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = fun(d)
-    x = 0.5 * (a + b)
-    return x, fun(x)
 
 
 def max_likelihood_search(rho0, rho1, trials: int = 10_000, seed: int = 0):
     """Randomized maximization of the which-way guess likelihood.
 
     Uniform sampling of measurement axes on the Bloch sphere followed by
-    alternating golden-section refinement of the spherical angles. This is a
-    verification oracle for the analytic trace-distance route: for
-    trials >= 1e4, 2 L_max - 1 reproduces `dc_trace_distance` well inside
-    1e-3. Deterministic given (seed, trials). Returns (L_max, (w+, w-)).
+    alternating bounded 1-d refinement (scipy's `minimize_scalar`) of the
+    spherical angles. This is a verification oracle for the analytic
+    trace-distance route: for trials >= 1e4, 2 L_max - 1 reproduces
+    `dc_trace_distance` well inside 1e-3. Deterministic given (seed, trials).
+    Returns (L_max, (w+, w-)).
     """
+    # imported on first use: scipy is slow to load, and no CLI mode searches
+    from scipy.optimize import minimize_scalar
+
     if trials < 1:
         raise InvalidState("trials must be >= 1")
     rho0 = polarization.as_density(rho0)
@@ -241,29 +220,22 @@ def max_likelihood_search(rho0, rho1, trials: int = 10_000, seed: int = 0):
     cos_t = rng.uniform(-1.0, 1.0, size=trials)
     polar = np.arccos(cos_t)
     azim = rng.uniform(0.0, 2.0 * math.pi, size=trials)
-    # vectorized likelihood over all sampled axes
-    half = polar / 2.0
-    wp = np.stack([np.cos(half), np.exp(1j * azim) * np.sin(half)], axis=1)
-    wm = np.stack([-np.exp(-1j * azim) * np.sin(half), np.cos(half)], axis=1)
+    k = int(np.argmax(_guess_likelihood(_basis_from_angles(polar, azim), rho0, rho1)))
+    best = [float(polar[k]), float(azim[k])]
 
-    def probs(w, rho):
-        return np.real(np.einsum("ki,ij,kj->k", w.conj(), rho, w))
+    def loss(angle, axis):  # minus the likelihood with one angle of `best` moved
+        angles = best[:axis] + [angle] + best[axis + 1:]
+        return -float(_guess_likelihood(_basis_from_angles(*angles), rho0, rho1))
 
-    l_all = 0.5 * (np.maximum(probs(wp, rho0), probs(wp, rho1))
-                   + np.maximum(probs(wm, rho0), probs(wm, rho1)))
-    k = int(np.argmax(l_all))
-    best_polar, best_azim = float(polar[k]), float(azim[k])
-    # alternating 1-d golden-section sweeps around the best sample
+    # alternating 1-d sweeps of the polar and azimuthal angle around the best sample
     width = math.pi / 8.0
     for _ in range(4):
-        best_polar, _ = _golden_max(
-            lambda t: _guess_likelihood(_basis_from_angles(t, best_azim), rho0, rho1),
-            best_polar - width, best_polar + width)
-        best_azim, _ = _golden_max(
-            lambda p: _guess_likelihood(_basis_from_angles(best_polar, p), rho0, rho1),
-            best_azim - width, best_azim + width)
+        for axis in (0, 1):
+            best[axis] = float(minimize_scalar(
+                loss, bounds=(best[axis] - width, best[axis] + width), args=(axis,),
+                method="bounded", options={"xatol": 1e-12}).x)
         width /= 8.0
-    basis = _basis_from_angles(best_polar, best_azim)
+    basis = _basis_from_angles(*best)
     return float(_guess_likelihood(basis, rho0, rho1)), basis
 
 

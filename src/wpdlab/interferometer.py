@@ -31,13 +31,13 @@ Wave-plate angles are fast-axis angles from horizontal, in degrees at every
 public surface; radians exist only inside the trig calls.
 
 Model core: every output is built from the per-arm round-trip operators
-U_BS^+ P_k U_W U_BS (P_k projects onto path k). `fringe_scan`, the one-point
-port functions and `port_probabilities` (the grid entry of the Monte Carlo
-fringe truth) sum both arms in one stacked kernel run in fixed-size blocks,
-so each number is bit for bit a one-point result; non-finite phases raise
-InvalidState as a one-point call does. A product with a constant factor
-(U_BS^+ P_k, U_BS, rho) is one 2-D matrix product over the block, not one
-small BLAS call per point. The blocked-path outputs of
+U_BS^+ P_k U_W U_BS (P_k projects onto path k). `fringe_scan`,
+`port_probabilities` (the grid entry of the Monte Carlo fringe truth) and
+`output_density` (its one-phase call) sum both arms in one stacked kernel
+run in fixed-size blocks, so a grid point reads bit for bit what a
+one-phase call gives; non-finite phases raise InvalidState. A product with
+a constant factor (U_BS^+ P_k, U_BS, rho) is one 2-D matrix product over
+the block, not one small BLAS call per point. The blocked-path outputs of
 `conditional_output` take the open arm's operator alone.
 `path_unitary` and `interferometer_unitary` are the test oracle.
 """
@@ -97,6 +97,8 @@ class SpectralModel:
             raise InvalidState("bandwidth must be nonnegative")
         if self.shape == "rectangular" and self.bandwidth_nm == 0:
             raise InvalidState("rectangular spectrum requires bandwidth > 0")
+        if self.shape == "monochromatic" and self.bandwidth_nm > 0:
+            raise InvalidState("monochromatic spectrum takes no bandwidth; use shape rectangular")
 
     @property
     def coherence_length_um(self) -> float:
@@ -263,17 +265,10 @@ def _traces(ops: np.ndarray) -> np.ndarray:
 
 
 def port_probabilities(cfg: InterferometerConfig, rho_in, phases):
-    """Port-0 and port-1 intensities, each (N,), over arm-0 `phases`; each
-    value is bit for bit the `output_probability` of that phase."""
+    """Port-0 and port-1 intensities, each (N,), over arm-0 `phases`; the
+    intensity at one phase is `port_probabilities(cfg, rho, [phi])`."""
     rho = polarization.as_density(rho_in)
     return tuple(_traces(op) for op in _port_operators(cfg, rho, phases, cfg.visibility_scale))
-
-
-def _point_operator(cfg: InterferometerConfig, rho_in, port: int):
-    if port not in (0, 1):
-        raise InvalidState(f"port must be 0 or 1, got {port}")
-    rho = polarization.as_density(rho_in)
-    return _port_operators(cfg, rho, [cfg.phase_phi], cfg.visibility_scale)[port][0]
 
 
 def output_density(cfg: InterferometerConfig, rho_in, port: int):
@@ -282,16 +277,14 @@ def output_density(cfg: InterferometerConfig, rho_in, port: int):
     Probabilities over the two ports sum to one. Raises ZeroProbability when
     the port is completely dark (the conditional state is undefined).
     """
-    raw = _point_operator(cfg, rho_in, port)
+    if port not in (0, 1):
+        raise InvalidState(f"port must be 0 or 1, got {port}")
+    rho = polarization.as_density(rho_in)
+    raw = _port_operators(cfg, rho, [cfg.phase_phi], cfg.visibility_scale)[port][0]
     prob = float(np.trace(raw).real)
     if prob < 1e-15:
         raise ZeroProbability(f"port {port} probability is numerically zero")
     return prob, raw / prob
-
-
-def output_probability(cfg: InterferometerConfig, rho_in, port: int) -> float:
-    """Port intensity alone; defined even for a dark port."""
-    return float(np.trace(_point_operator(cfg, rho_in, port)).real)
 
 
 def conditional_output(cfg: InterferometerConfig, rho_in, open_path: int, port: int):

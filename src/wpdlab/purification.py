@@ -14,7 +14,9 @@ basis order |Ha>, |Hb>, |Va>, |Vb> (marker major). Column k of A is
 sqrt(p_k) |phi_k>, the marker state of environment branch k, so
 psi1 = (U x I_E) psi0 is `U @ A`, Tr_E |psi><psi| is `A A^+`, and
 |det[phi_k0, phi_k1]| is the distinguishability of branch k. No 4x4 operator
-is ever built. A rotated environment basis is always re-expressed in the
+is ever built. The pair's D has one formula, the Gram-Schmidt residual of
+psi1 off psi0, which `joint_vcd` reports and `delta_eigensystem` takes as its
++/-D eigenvalue. A rotated environment basis is always re-expressed in the
 standard one; this is an isometry of the global state, so every functional is
 unchanged by it.
 """
@@ -202,18 +204,22 @@ def marker_states(p: PurifiedWWM) -> Tuple[np.ndarray, np.ndarray]:
     return a0 @ a0.conj().T, a1 @ a1.conj().T
 
 
-def joint_vcd(p: PurifiedWWM) -> Tuple[float, float, float]:
-    """(V, C, D) of the purified pair: V = |<psi0|psi1>|, C = D = sqrt(1-V^2).
+def _gram_schmidt(p: PurifiedWWM):
+    """(<psi0|psi1>, w, |w|): w is the residual of psi1 off psi0, taken in
+    two Gram-Schmidt passes so that it stays orthogonal to psi0 even when it
+    is tiny. |w| is D = sqrt(1 - V^2), read off the residual, which does not
+    cancel when psi1 is close to psi0 as 1 - V^2 does."""
+    overlap = complex(p.psi0.conj() @ p.psi1)
+    w = p.psi1 - overlap * p.psi0
+    w = w - complex(p.psi0.conj() @ w) * p.psi0
+    return overlap, w, float(np.linalg.norm(w))
 
-    D is taken from the Lagrange identity
-    1 - |<psi0|psi1>|^2 = (1/2) sum_ij |psi0_i psi1_j - psi0_j psi1_i|^2,
-    which, unlike 1 - V^2, does not cancel when psi1 is close to psi0.
-    """
-    v = abs(complex(p.psi0.conj() @ p.psi1))
-    w = np.outer(p.psi0, p.psi1)
-    w = w - w.T
-    cd = float(np.sqrt(0.5 * np.vdot(w, w).real))
-    return float(v), cd, cd
+
+def joint_vcd(p: PurifiedWWM) -> Tuple[float, float, float]:
+    """(V, C, D) of the purified pair: V = |<psi0|psi1>| and C = D the
+    Gram-Schmidt residual |psi1 - <psi0|psi1> psi0| = sqrt(1 - V^2)."""
+    overlap, _, d = _gram_schmidt(p)
+    return abs(overlap), d, d
 
 
 def delta_eigensystem(p: PurifiedWWM):
@@ -221,26 +227,21 @@ def delta_eigensystem(p: PurifiedWWM):
 
     Delta has rank <= 2 with eigenvalues +/-D inside span{psi0, psi1}; the
     solve happens in a Gram-Schmidt frame (psi0 first), never as a generic
-    4x4 eigenproblem. Returns (D, psi_plus, psi_minus); when the branches
-    coincide (overlap 1 within 1e-12) D = 0 and the eigenvectors are None.
+    4x4 eigenproblem, and D is the residual of `joint_vcd`. Returns
+    (D, psi_plus, psi_minus); when the branches coincide (residual at most
+    1e-12) D = 0 and the eigenvectors are None.
     """
-    overlap = complex(p.psi0.conj() @ p.psi1)
-    d = float(np.sqrt(max(0.0, 1.0 - abs(overlap) ** 2)))
-    if abs(overlap) >= 1.0 - 1e-12:
+    g, w, h = _gram_schmidt(p)
+    if h <= _NORM_TOL:
         return 0.0, None, None
-    # frame: e1 = psi0, e2 = orthonormalized psi1; psi1 = (g, h) with h real
-    g = overlap
-    w = p.psi1 - g * p.psi0
-    h = float(np.linalg.norm(w))
+    # in the frame (psi0, e2 = w / h), psi1 = (g, h) and Delta is
+    # [[1-|g|^2, -g h], [-g* h, -h^2]]; its eigenvectors (1+h, -g*) at +h and
+    # (g, 1+h) at -h have the same norm
     e2 = w / h
-    # Delta in frame: [[1-|g|^2, -g h], [-g* h, -h^2]], eigenvalues +/-h
-    v_plus = np.array([1.0 + h, -np.conj(g)])
-    v_plus /= np.linalg.norm(v_plus)
-    v_minus = np.array([g, 1.0 + h])
-    v_minus /= np.linalg.norm(v_minus)
-    psi_plus = v_plus[0] * p.psi0 + v_plus[1] * e2
-    psi_minus = v_minus[0] * p.psi0 + v_minus[1] * e2
-    return d, psi_plus, psi_minus
+    norm = np.hypot(1.0 + h, abs(g))
+    psi_plus = ((1.0 + h) * p.psi0 - np.conj(g) * e2) / norm
+    psi_minus = (g * p.psi0 + (1.0 + h) * e2) / norm
+    return h, psi_plus, psi_minus
 
 
 def projective_d_value(p: PurifiedWWM) -> float:

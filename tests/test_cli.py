@@ -560,6 +560,9 @@ def test_golden_csv_bytes(tmp_path, name):
     (["fringe", "--bandwidth-nm=-1"], "config", 2),
     (["fringe", "--shape=rectangular"], "config", 2),  # with no bandwidth
     (["erasure", "--wavelength-nm=0"], "config", 2),
+    # a monochromatic spectrum has no bandwidth to give
+    (["fringe", "--bandwidth-nm=20"], "config", 2),
+    (["sweep", "--theta1=0", "--bandwidth-nm=20"], "config", 2),
 ])
 def test_error_contract(tmp_path, capsys, argv, category, code):
     assert cli.main([*argv, "--photons=100", f"--out={tmp_path / 'x.csv'}"]) == code
@@ -706,6 +709,14 @@ def test_one_source_modes_refuse_extra_sources(tmp_path, capsys, mode):
             "are for sweep only") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("theta1", ["0,30,45", "0:45:15"])
+def test_fringe_refuses_several_theta1_values(tmp_path, capsys, theta1):
+    argv = ["fringe", f"--theta1={theta1}", f"--out={tmp_path / 'x.csv'}"]
+    assert cli.main(argv) == 2
+    assert "error: category=config: fringe takes one theta1 value, got" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_plot_ignores_extra_sources(tmp_path):
     argv = ["plot", "--stokes=0,0,0.3;0.5,0,0", f"--table={GOLDEN_DIR / 'sweep.csv'}",
             f"--out={tmp_path / 'sweep.plot.py'}"]
@@ -763,9 +774,9 @@ _IMPORT_PROBE = """
 import sys
 from wpdlab import cli
 out = sys.argv[1]
-for argv in (["fringe"], ["sweep"], ["wpd-verify"], ["montecarlo"], ["tomography"]):
-    code = cli.main([*argv, "--theta1=0,45", "--photons=2000", "--resamples=50",
-                     f"--out={out}"])
+for argv in (["fringe", "--theta1=45"], *([mode, "--theta1=0,45"] for mode in
+              ("sweep", "wpd-verify", "montecarlo", "tomography"))):
+    code = cli.main([*argv, "--photons=2000", "--resamples=50", f"--out={out}"])
     assert code == 0, (argv, code)
 loaded = sorted(m for m in ("scipy", "concurrent.futures") if m in sys.modules)
 assert not loaded, loaded
@@ -773,7 +784,8 @@ assert not loaded, loaded
 
 
 def test_cli_modes_import_no_scipy_or_thread_pool(tmp_path):
-    # scipy is loaded only by interferometer.fit_fringe, which no CLI mode calls
+    # scipy is loaded only by interferometer.fit_fringe and
+    # duality.max_likelihood_search, which no CLI mode calls
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))

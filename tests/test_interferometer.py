@@ -180,20 +180,15 @@ class TestInterferometerUnitary:
 
     def test_no_marking_gives_full_cosine_fringe(self):
         # port-1 intensity is (1 + cos(phi + offset))/2 for some fixed offset
-        intensities = []
         phis = np.linspace(0, 2 * math.pi, 32, endpoint=False)
-        for phi in phis:
-            cfg = itf.InterferometerConfig(phase_phi=phi)
-            intensities.append(itf.output_probability(cfg, UNPOLARIZED, 1))
-        intensities = np.array(intensities)
+        _, intensities = itf.port_probabilities(itf.InterferometerConfig(), UNPOLARIZED, phis)
         vis, phase = itf.fit_visibility(phis, intensities)
         assert vis == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(intensities - 0.5 * (1 + np.cos(phis - phase)))) < 1e-12
 
     def test_maximum_marking_flattens_port_intensity(self):
         cfg0 = itf.InterferometerConfig(theta0_deg=0, theta1_deg=45)
-        vals = [itf.output_probability(with_phase(cfg0, p), UNPOLARIZED, 1)
-                for p in np.linspace(0, 2 * math.pi, 17)]
+        _, vals = itf.port_probabilities(cfg0, UNPOLARIZED, np.linspace(0, 2 * math.pi, 17))
         assert np.ptp(vals) < 1e-12
 
 
@@ -201,8 +196,8 @@ class TestOutputDensity:
     def test_bright_port_reaches_scaled_maximum(self):
         for scale in (1.0, 0.8):
             cfg = itf.InterferometerConfig(visibility_scale=scale)
-            best = max(itf.output_probability(with_phase(cfg, p), UNPOLARIZED, 1)
-                       for p in np.linspace(0, 2 * math.pi, 721))
+            _, p1 = itf.port_probabilities(cfg, UNPOLARIZED, np.linspace(0, 2 * math.pi, 721))
+            best = float(p1.max())
             assert best == pytest.approx(0.5 * (1 + scale), abs=1e-6)
 
     def test_unpolarized_stays_unpolarized_without_marking(self):
@@ -217,8 +212,7 @@ class TestOutputDensity:
                 phase_phi=rng.uniform(0, 2 * math.pi),
                 visibility_scale=rng.uniform(0.3, 1.0))
             rho = pol.density_from_stokes(random_stokes(rng))
-            p0 = itf.output_probability(cfg, rho, 0)
-            p1 = itf.output_probability(cfg, rho, 1)
+            (p0,), (p1,) = itf.port_probabilities(cfg, rho, [cfg.phase_phi])
             assert p0 + p1 == pytest.approx(1.0, abs=1e-12)
 
     def test_dark_port_raises(self):
@@ -250,10 +244,10 @@ class TestInterferenceCoefficient:
                 theta0_deg=rng.uniform(0, 45), theta1_deg=rng.uniform(0, 45))
             rho = pol.density_from_stokes(random_stokes(rng))
             coeff = interference_coefficient(cfg, rho)
-            for phi in np.linspace(0, 2 * math.pi, 11):
-                closed = 0.5 * (1 + abs(coeff) * math.cos(phi + np.angle(coeff)))
-                assert itf.output_probability(with_phase(cfg, phi), rho, 1) == \
-                    pytest.approx(closed, abs=1e-10)
+            phis = np.linspace(0, 2 * math.pi, 11)
+            closed = 0.5 * (1 + abs(coeff) * np.cos(phis + np.angle(coeff)))
+            _, p1 = itf.port_probabilities(cfg, rho, phis)
+            assert np.max(np.abs(p1 - closed)) <= 1e-10
 
 
 class TestConditionalOutput:
@@ -481,9 +475,8 @@ class TestVisibilityScale:
     def test_scales_fringe_only(self):
         cfg = itf.InterferometerConfig(visibility_scale=0.95)
         phis = np.linspace(0, 2 * math.pi, 32, endpoint=False)
-        data = [itf.output_probability(with_phase(cfg, p), UNPOLARIZED, 1)
-                for p in phis]
-        vis, _ = itf.fit_visibility(phis, np.array(data))
+        _, data = itf.port_probabilities(cfg, UNPOLARIZED, phis)
+        vis, _ = itf.fit_visibility(phis, data)
         assert vis == pytest.approx(0.95, abs=1e-12)
         assert np.mean(data) == pytest.approx(0.5, abs=1e-12)
 
@@ -503,6 +496,11 @@ class TestSpectralValidation:
     def test_rectangular_needs_bandwidth(self):
         with pytest.raises(InvalidState):
             itf.SpectralModel(shape="rectangular", bandwidth_nm=0.0)
+
+    def test_monochromatic_refuses_bandwidth(self):
+        # a bandwidth without the rectangular shape would leave the envelope at 1
+        with pytest.raises(InvalidState, match="monochromatic spectrum takes no bandwidth"):
+            itf.SpectralModel(bandwidth_nm=20.0)
 
     def test_negative_bandwidth_rejected(self):
         with pytest.raises(InvalidState):
@@ -550,7 +548,8 @@ class TestStackedCore:
             for port in (0, 1):
                 raw = reference_port_state(cfg, rho, port, cfg.visibility_scale)
                 prob = float(np.trace(raw).real)
-                assert same_bits(itf.output_probability(cfg, rho, port), prob)
+                got = itf.port_probabilities(cfg, rho, [cfg.phase_phi])[port]
+                assert same_bits(got, np.array([prob]))
                 got_prob, got_state = itf.output_density(cfg, rho, port)
                 assert same_bits(got_prob, prob)
                 assert same_bits(got_state, raw / prob)
@@ -598,7 +597,7 @@ class TestStackedCore:
 
     def test_bad_port_rejected(self):
         with pytest.raises(InvalidState):
-            itf.output_probability(itf.InterferometerConfig(), UNPOLARIZED, 2)
+            itf.output_density(itf.InterferometerConfig(), UNPOLARIZED, 2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e306])
     def test_non_finite_phase_rejected(self, bad):
@@ -617,7 +616,7 @@ class TestStackedCore:
         phases = rng.uniform(-10, 10, size=itf._BLOCK_POINTS + 1)
         p0, p1 = itf.port_probabilities(cfg, rho, phases)
         for port, got in ((0, p0), (1, p1)):
-            want = [itf.output_probability(with_phase(cfg, f), rho, port) for f in phases]
+            want = np.concatenate([itf.port_probabilities(cfg, rho, [f])[port] for f in phases])
             assert same_bits(got, want)
 
     def test_port_probabilities_validate_rho(self):

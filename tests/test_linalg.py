@@ -200,7 +200,7 @@ class TestTraceNorm:
                        - np.linalg.norm(s0 - s1)) < 1e-12
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1))
 def test_matmul_associative(seed):
     rng = np.random.default_rng(seed)
@@ -211,7 +211,7 @@ def test_matmul_associative(seed):
     assert np.max(np.abs(left - right)) < 1e-10
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(0, 2**32 - 1))
 def test_tensor_partial_trace_roundtrip(seed):
     rng = np.random.default_rng(seed)
